@@ -64,16 +64,10 @@ class Tensor:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    def is_leaf(self) -> bool:
-        return self._backward_fn is None
-
     def item(self) -> float:
         if self.data.size != 1:
             raise GraphError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data[0, 0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -84,6 +78,8 @@ def _needs_graph(*tensors: Tensor) -> bool:
 
 
 def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
+    """Wrap an op's result: a graph node whose `backward_fn(g)` returns one
+    gradient (or None) per parent, or a plain tensor if no parent needs one."""
     if _needs_graph(*parents):
         return Tensor(data, requires_grad=False, _parents=parents, _backward_fn=backward_fn)
     return Tensor(data, _check=False)
@@ -142,16 +138,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-
-    def bwd(g):
-        return g, -g
-
-    return _make(a.data - b.data, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul shape mismatch: {a.shape} vs {b.shape}")
@@ -162,17 +148,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (a, b), bwd)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"div shape mismatch: {a.shape} vs {b.shape}")
-    out = a.data / b.data
-
-    def bwd(g):
-        return g / b.data, -g * out / b.data
-
-    return _make(out, (a, b), bwd)
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
 
@@ -180,16 +155,6 @@ def scale(a: Tensor, s: float) -> Tensor:
         return (g * s,)
 
     return _make(a.data * s, (a,), bwd)
-
-
-def shift(a: Tensor, c: float) -> Tensor:
-    """Add a python constant elementwise (gradient passes through)."""
-    c = float(c)
-
-    def bwd(g):
-        return (g,)
-
-    return _make(a.data + c, (a,), bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -223,85 +188,11 @@ def add_col_bias(x: Tensor, b: Tensor) -> Tensor:
     return _make(x.data + b.data, (x, b), bwd)
 
 
-def shift_cols(x: Tensor, s: int) -> Tensor:
-    """Shift columns right by s frames, zero-filling on the left (causal delay)."""
-    if s < 0:
-        raise DimensionError("shift_cols requires s >= 0")
-    if s == 0:
-        out = x.data.copy()
-    else:
-        out = np.zeros_like(x.data)
-        if s < x.cols:
-            out[:, s:] = x.data[:, :x.cols - s]
-
-    def bwd(g):
-        gx = np.zeros_like(g)
-        if s < g.shape[1]:
-            gx[:, :g.shape[1] - s] = g[:, s:] if s > 0 else g
-        return (gx,)
-
-    return _make(out, (x,), bwd)
-
-
-def select_cols(x: Tensor, idx) -> Tensor:
-    """Gather columns by index; backward scatter-adds into the source."""
-    idx = np.asarray(idx, dtype=np.intp)
-    out = x.data[:, idx]
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (slice(None), idx), g)
-        return (gx,)
-
-    return _make(out, (x,), bwd)
-
-
 def tensor_sum(a: Tensor) -> Tensor:
     def bwd(g):
         return (np.full_like(a.data, g[0, 0]),)
 
     return _make(np.array([[a.data.sum()]]), (a,), bwd)
-
-
-def mean(a: Tensor) -> Tensor:
-    if a.data.size == 0:
-        raise DimensionError("mean of empty tensor")
-    n = a.data.size
-
-    def bwd(g):
-        return (np.full_like(a.data, g[0, 0] / n),)
-
-    return _make(np.array([[a.data.mean()]]), (a,), bwd)
-
-
-def variance(a: Tensor) -> Tensor:
-    """Population variance (divide by N) over all elements."""
-    if a.data.size == 0:
-        raise DimensionError("variance of empty tensor")
-    n = a.data.size
-    mu = a.data.mean()
-    centered = a.data - mu
-
-    def bwd(g):
-        return (g[0, 0] * 2.0 / n * centered,)
-
-    return _make(np.array([[np.mean(centered * centered)]]), (a,), bwd)
-
-
-def covariance(a: Tensor, b: Tensor) -> Tensor:
-    """Population covariance over all elements (shapes must match, N >= 2)."""
-    if a.shape != b.shape:
-        raise DimensionError(f"covariance shape mismatch: {a.shape} vs {b.shape}")
-    if a.data.size < 2:
-        raise DimensionError("covariance requires at least 2 elements")
-    n = a.data.size
-    ca = a.data - a.data.mean()
-    cb = b.data - b.data.mean()
-
-    def bwd(g):
-        return g[0, 0] / n * cb, g[0, 0] / n * ca
-
-    return _make(np.array([[np.mean(ca * cb)]]), (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import _Reader
+
 _MAGIC = b"RJCM"
 _VERSION = 1
 
@@ -38,34 +40,40 @@ def write_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None
     Path(path).write_bytes(b"".join(parts))
 
 
+def _text(r: _Reader, what: str) -> str:
+    """Length-prefixed UTF-8 string at the reader's cursor."""
+    n = r.u32()
+    start = r.off
+    try:
+        return r.take(n).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CheckpointError(
+            f"{r.path}: {what} is not UTF-8 at byte {start + e.start}") from None
+
+
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    blob = Path(path).read_bytes()
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(blob):
-            raise CheckpointError(
-                f"{path}: truncated at byte {off} (wanted {n} more)")
-        chunk = blob[off:off + n]
-        off += n
-        return chunk
-
-    if take(4) != _MAGIC:
+    r = _Reader(Path(path).read_bytes(), path, CheckpointError)
+    if r.take(4) != _MAGIC:
         raise CheckpointError(f"{path}: bad magic at byte 0")
-    version = struct.unpack("<I", take(4))[0]
+    version = r.u32()
     if version != _VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    cfg_len = struct.unpack("<I", take(4))[0]
-    config = json.loads(take(cfg_len).decode("utf-8"))
-    n_tensors = struct.unpack("<I", take(4))[0]
+        raise CheckpointError(f"{path}: unsupported version {version} at byte 4")
+    start = r.off + 4  # the config text follows its u32 length
+    text = _text(r, "config")
+    try:
+        config = json.loads(text)
+    except json.JSONDecodeError as e:
+        at = start + len(text[:e.pos].encode("utf-8"))
+        raise CheckpointError(
+            f"{path}: config is not JSON at byte {at}: {e.msg}") from None
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config at byte {start} is not a JSON object")
     tensors = {}
-    for _ in range(n_tensors):
-        name_len = struct.unpack("<I", take(4))[0]
-        name = take(name_len).decode("utf-8")
-        rows, cols = struct.unpack("<QQ", take(16))
-        data = np.frombuffer(take(8 * rows * cols), dtype="<f8")
-        tensors[name] = data.astype(np.float64).reshape(rows, cols)
-    if off != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
+    for _ in range(r.u32()):
+        name = _text(r, "tensor name")
+        rows, cols = r.u64(), r.u64()
+        tensors[name] = r.f64_array(rows * cols).reshape(rows, cols)
+    if r.off != len(r.blob):
+        raise CheckpointError(
+            f"{path}: {len(r.blob) - r.off} trailing bytes at byte {r.off}")
     return config, tensors

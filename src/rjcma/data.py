@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,16 +70,12 @@ class Window:
     valence: np.ndarray            # K, raw values incl. -5 sentinels
     arousal: np.ndarray
     n_padded: int = 0
-    frame_masks: dict = field(default_factory=dict)   # modality -> K bools
     valence_mask: np.ndarray = None
     arousal_mask: np.ndarray = None
 
     def __post_init__(self):
-        if not self.frame_masks or self.valence_mask is None:
-            fm, vm, am = build_masks(self)
-            self.frame_masks = fm
-            self.valence_mask = vm
-            self.arousal_mask = am
+        if self.valence_mask is None:
+            self.valence_mask, self.arousal_mask = build_masks(self)
 
     @property
     def K(self) -> int:
@@ -93,18 +89,14 @@ class Window:
 
 
 def build_masks(win: Window):
-    """Frame masks (per modality, false on all-zero dropout frames) and label
-    masks (false on -5 sentinels and on padded tail frames)."""
+    """Label masks: false on -5 sentinels and on padded tail frames."""
     k = win.valence.size
     padded = np.zeros(k, dtype=bool)
     if win.n_padded:
         padded[k - win.n_padded:] = True
-    frame_masks = {
-        m: ~np.all(f == 0.0, axis=0) for m, f in win.features.items()
-    }
     valence_mask = (win.valence != INVALID_LABEL) & ~padded
     arousal_mask = (win.arousal != INVALID_LABEL) & ~padded
-    return frame_masks, valence_mask, arousal_mask
+    return valence_mask, arousal_mask
 
 
 def window(rec: SequenceRecord, spec: WindowSpec) -> list[Window]:
@@ -260,14 +252,17 @@ _VERSION = 1
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path):
+    """Little-endian cursor over a file's bytes; errors name the file and offset."""
+
+    def __init__(self, blob: bytes, path, error: type[Exception] = FormatError):
         self.blob = blob
         self.off = 0
         self.path = path
+        self.error = error
 
     def take(self, n: int) -> bytes:
         if self.off + n > len(self.blob):
-            raise FormatError(
+            raise self.error(
                 f"{self.path}: truncated at byte {self.off} (wanted {n} more)")
         chunk = self.blob[self.off:self.off + n]
         self.off += n

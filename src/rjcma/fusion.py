@@ -45,21 +45,6 @@ class FusionConfig:
         return {"a": self.d_a, "v": self.d_v, "t": self.d_t}[m]
 
 
-@dataclass
-class ModalityFeatures:
-    """Frame-aligned feature matrix for one modality plus frame validity."""
-
-    features: Tensor
-    modality: str
-    frame_mask: np.ndarray = None
-
-    def __post_init__(self):
-        if self.modality not in MODALITIES:
-            raise ValueError(f"unknown modality {self.modality!r}")
-        if self.frame_mask is None:
-            self.frame_mask = np.ones(self.features.cols, dtype=bool)
-
-
 def _uniform(rng: np.random.Generator, rows: int, cols: int, bound: float) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
@@ -155,7 +140,7 @@ def predict_head(x_att: Tensor, params: RjcmaParams) -> Tensor:
     return ad.tanh(out)
 
 
-def rjcma_forward(xa: ModalityFeatures, xv: ModalityFeatures, xt: ModalityFeatures,
+def rjcma_forward(xa: Tensor, xv: Tensor, xt: Tensor,
                   params: RjcmaParams, config: FusionConfig,
                   collect_intermediates: bool = False) -> FusionOutput:
     """Run the full recursive fusion block and regression head.
@@ -164,7 +149,7 @@ def rjcma_forward(xa: ModalityFeatures, xv: ModalityFeatures, xt: ModalityFeatur
     current (attended) features through the shared FC, then applies the
     step's own attention weights per modality.
     """
-    feats = {"a": xa.features, "v": xv.features, "t": xt.features}
+    feats = {"a": xa, "v": xv, "t": xt}
     for m in MODALITIES:
         expected = (config.dim(m), config.K)
         if feats[m].shape != expected:

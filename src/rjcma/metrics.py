@@ -39,43 +39,46 @@ def _validate(pred, gt, mask):
     if mask.sum() < 2:
         raise InsufficientDataError(
             f"need >= 2 valid elements, got {int(mask.sum())}")
-    return pred[mask], gt[mask]
+    return pred[mask], gt[mask], mask
+
+
+def _concordance(x: np.ndarray, y: np.ndarray):
+    """rho_c of two 1-D series, with the centred series, the mean gap and the
+    denominator that its gradient needs."""
+    mx, my = x.mean(), y.mean()
+    cx, cy = x - mx, y - my
+    dm = mx - my
+    denom = (cx * cx).mean() + (cy * cy).mean() + dm * dm + EPS
+    return 2.0 * (cx * cy).mean() / denom, cx, cy, dm, denom
 
 
 def ccc(pred, gt, mask=None) -> float:
     """Concordance correlation between two series over unmasked elements."""
-    x, y = _validate(pred, gt, mask)
+    x, y, _ = _validate(pred, gt, mask)
     if np.array_equal(x, y):
         return 1.0
-    mx, my = x.mean(), y.mean()
-    vx, vy = ((x - mx) ** 2).mean(), ((y - my) ** 2).mean()
-    cov = ((x - mx) * (y - my)).mean()
-    return 2.0 * cov / (vx + vy + (mx - my) ** 2 + EPS)
+    return _concordance(x, y)[0]
 
 
 def ccc_loss(pred: Tensor, gt, mask=None) -> Tensor:
-    """Differentiable 1 - rho_c over unmasked frames of a (1 x K) prediction."""
-    gt = np.asarray(gt, dtype=np.float64).ravel()
-    if pred.data.shape[0] != 1 or pred.cols != gt.size:
-        raise ad.DimensionError(
-            f"prediction shape {pred.shape} vs {gt.size} labels")
-    if mask is None:
-        mask = np.ones(gt.size, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool).ravel()
-    idx = np.flatnonzero(mask)
-    if idx.size < 2:
-        raise InsufficientDataError(
-            f"need >= 2 valid frames for CCC loss, got {idx.size}")
+    """Differentiable 1 - rho_c over unmasked frames of a (1 x K) prediction.
 
-    x = ad.select_cols(pred, idx)
-    y = Tensor(gt[idx].reshape(1, -1))
-    cov = ad.covariance(x, y)
-    dmean = ad.sub(ad.mean(x), ad.mean(y))
-    denom = ad.shift(
-        ad.add(ad.add(ad.variance(x), ad.variance(y)), ad.mul(dmean, dmean)), EPS)
-    rho = ad.div(ad.scale(cov, 2.0), denom)
-    return ad.shift(ad.scale(rho, -1.0), 1.0)
+    One graph node. Over the n unmasked frames, with D the denominator of
+    rho_c, d(1 - rho_c)/dx = -2 / (n D) * (cy - rho_c * (cx + mean(x) - mean(y)));
+    masked frames get exactly zero gradient.
+    """
+    if pred.rows != 1 or pred.cols != np.size(gt):
+        raise ad.DimensionError(
+            f"prediction shape {pred.shape} vs {np.size(gt)} labels")
+    x, y, mask = _validate(pred.data, gt, mask)
+    rho, cx, cy, dm, denom = _concordance(x, y)
+
+    def bwd(g):
+        grad = np.zeros_like(pred.data)
+        grad[0, mask] = g[0, 0] * -2.0 / (x.size * denom) * (cy - rho * (cx + dm))
+        return (grad,)
+
+    return ad._make(np.array([[1.0 - rho]]), (pred,), bwd)
 
 
 @dataclass

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from . import checkpoint as ckpt
 from .autodiff import Tensor
 from .data import MODALITIES, Normalizer, Window
-from .fusion import (FusionConfig, ModalityFeatures, RjcmaParams,
-                     rjcma_forward)
+from .fusion import FusionConfig, RjcmaParams, rjcma_forward
 from .metrics import ccc_loss
 from .temporal import TcnStack, tcn_forward
 
@@ -72,11 +70,8 @@ class RjcmaModel:
     def forward_window(self, win: Window):
         x = self._inputs(win)
         encoded = {m: tcn_forward(x[m], self.tcn[m]) for m in MODALITIES}
-        return rjcma_forward(
-            ModalityFeatures(encoded["a"], "a", win.frame_masks["a"]),
-            ModalityFeatures(encoded["v"], "v", win.frame_masks["v"]),
-            ModalityFeatures(encoded["t"], "t", win.frame_masks["t"]),
-            self.fusion, self.config)
+        return rjcma_forward(encoded["a"], encoded["v"], encoded["t"],
+                             self.fusion, self.config)
 
     def predict(self, win: Window, target: str | None = None) -> np.ndarray:
         if target is not None and target != self.target:
@@ -109,18 +104,22 @@ class RjcmaModel:
     @classmethod
     def load(cls, path) -> "RjcmaModel":
         config, tensors = ckpt.read_checkpoint(path)
-        fusion_cfg = FusionConfig(d_a=config["d_a"], d_v=config["d_v"],
-                                  d_t=config["d_t"], K=config["K"],
-                                  iterations=config["iterations"])
+        try:
+            fusion_cfg = FusionConfig(d_a=config["d_a"], d_v=config["d_v"],
+                                      d_t=config["d_t"], K=config["K"],
+                                      iterations=config["iterations"])
+            kwargs = dict(target=config["target"], seed=config["seed"],
+                          tcn_kernel=config["tcn_kernel"],
+                          tcn_dilations=tuple(config["tcn_dilations"]))
+        except KeyError as e:
+            raise ckpt.CheckpointError(
+                f"{path}: config lacks key {e.args[0]!r}") from None
         norm_names = {n for n in tensors if n.startswith("norm/")}
         normalizer = None
         if norm_names:
             normalizer = Normalizer.from_named_arrays(
                 {n: tensors[n] for n in norm_names})
-        model = cls(fusion_cfg, target=config["target"], seed=config["seed"],
-                    tcn_kernel=config["tcn_kernel"],
-                    tcn_dilations=tuple(config["tcn_dilations"]),
-                    normalizer=normalizer)
+        model = cls(fusion_cfg, normalizer=normalizer, **kwargs)
         model.load_state_arrays(
             {n: a for n, a in tensors.items() if n not in norm_names})
         return model

@@ -51,16 +51,32 @@ class TcnBlock:
 
 
 def causal_dilated_conv(x: Tensor, block: TcnBlock) -> Tensor:
+    """sum over j of taps[j] @ (x delayed by (kernel_size-1-j)*dilation frames,
+    zero-filled) plus the bias, as one graph node with parents (x, *taps, bias)."""
     cfg = block.cfg
     if x.rows != cfg.channels_in:
         raise ad.DimensionError(
             f"conv expects {cfg.channels_in} channels, got {x.rows}")
-    acc = None
-    for j, tap in enumerate(block.taps):
-        lag = (cfg.kernel_size - 1 - j) * cfg.dilation
-        term = ad.matmul(tap, ad.shift_cols(x, lag))
-        acc = term if acc is None else ad.add(acc, term)
-    return ad.add_col_bias(acc, block.bias)
+    frames = x.cols
+    weights = [tap.data for tap in block.taps]
+    # x delayed by each tap's lag, zero-filled on the left: n[j] frames of x
+    # survive the delay of tap j
+    n = [max(frames - (cfg.kernel_size - 1 - j) * cfg.dilation, 0)
+         for j in range(cfg.kernel_size)]
+    delayed = []
+    for nj in n:
+        xs = np.zeros_like(x.data)
+        xs[:, frames - nj:] = x.data[:, :nj]
+        delayed.append(xs)
+    out = sum(w @ xs for w, xs in zip(weights, delayed)) + block.bias.data
+
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        for w, nj in zip(weights, n):
+            gx[:, :nj] += w.T @ g[:, frames - nj:]
+        return (gx, *(g @ xs.T for xs in delayed), g.sum(axis=1, keepdims=True))
+
+    return ad._make(out, (x, *block.taps, block.bias), bwd)
 
 
 class TcnStack:

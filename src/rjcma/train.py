@@ -63,7 +63,8 @@ class OptimizerState:
 def adam_step(params: dict[str, Tensor], state: OptimizerState,
               lr: float, weight_decay: float = 0.0) -> None:
     """Bias-corrected Adam update with decoupled weight decay (applied to the
-    weights directly, not folded into the gradient)."""
+    weights directly, not folded into the gradient). The moments and the
+    weights are updated in place."""
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
@@ -71,20 +72,17 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState,
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
         if weight_decay:
-            p.data = p.data * (1.0 - lr * weight_decay)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            p.data *= 1.0 - lr * weight_decay
+        p.data -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + state.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +116,6 @@ class Scheduler:
             self.lr = max(self.lr * self.cfg.plateau_factor, self.cfg.lr_min)
             self.since_improvement = 0
         return self.lr
-
-
-def scheduler_step(state: Scheduler, epoch: int, val_ccc: float) -> float:
-    return state.epoch_end(epoch, val_ccc)
 
 
 # ---------------------------------------------------------------------------

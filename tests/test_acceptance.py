@@ -32,7 +32,7 @@ def announce(capsys, name, ok, detail=""):
 def make_features(cfg, seed=0):
     rng = np.random.default_rng(seed)
     return {
-        m: fu.ModalityFeatures(Tensor(rng.normal(size=(cfg.dim(m), cfg.K))), m)
+        m: Tensor(rng.normal(size=(cfg.dim(m), cfg.K)))
         for m in fu.MODALITIES
     }
 
@@ -57,7 +57,7 @@ def test_zero_attention_identity(capsys):
                 params[f"iter{i}/W_c{m}"].data[:] = 0.0
         feats = make_features(cfg, seed=l)
         out = fu.rjcma_forward(feats["a"], feats["v"], feats["t"], params, cfg)
-        raw = np.concatenate([feats[m].features.data for m in fu.MODALITIES],
+        raw = np.concatenate([feats[m].data for m in fu.MODALITIES],
                              axis=0)
         ok = ok and np.array_equal(out.attended.data, raw)
     announce(capsys, "zero-attention identity", ok, "l in {1, 2, 3, 4}")
@@ -83,9 +83,8 @@ def test_single_pass_reduction(capsys):
     params = fu.RjcmaParams(cfg, np.random.default_rng(7))
     feats = make_features(cfg, seed=8)
     out = fu.rjcma_forward(feats["a"], feats["v"], feats["t"], params, cfg)
-    oracle = single_pass_oracle(feats["a"].features.data,
-                                feats["v"].features.data,
-                                feats["t"].features.data, params)
+    oracle = single_pass_oracle(feats["a"].data, feats["v"].data,
+                                feats["t"].data, params)
     ok = np.array_equal(out.attended.data, oracle)
     announce(capsys, "single-pass reduction", ok, "f64 bit equality")
 

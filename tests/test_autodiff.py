@@ -135,8 +135,7 @@ class TestElementwise:
         assert ga[0, 0] == 1.0
         assert max_rel_err(ga, fd_grad(f, x)) < 1e-6
 
-    @pytest.mark.parametrize("op", ["tanh", "add", "sub", "mul", "div", "scale",
-                                    "shift", "add_col_bias"])
+    @pytest.mark.parametrize("op", ["tanh", "add", "mul", "scale", "add_col_bias"])
     def test_gradients_vs_finite_differences(self, op):
         rng = np.random.default_rng(42)
         a = Tensor(rng.normal(size=(3, 4)) + 2.0, requires_grad=True)
@@ -145,11 +144,8 @@ class TestElementwise:
         fns = {
             "tanh": lambda: ad.tensor_sum(ad.tanh(a)),
             "add": lambda: ad.tensor_sum(ad.mul(ad.add(a, b), b)),
-            "sub": lambda: ad.tensor_sum(ad.mul(ad.sub(a, b), b)),
             "mul": lambda: ad.tensor_sum(ad.mul(a, b)),
-            "div": lambda: ad.tensor_sum(ad.div(a, b)),
             "scale": lambda: ad.tensor_sum(ad.scale(ad.mul(a, a), 0.3)),
-            "shift": lambda: ad.tensor_sum(ad.mul(ad.shift(a, 1.5), a)),
             "add_col_bias": lambda: ad.tensor_sum(
                 ad.mul(ad.add_col_bias(a, bias), a)),
         }
@@ -157,58 +153,6 @@ class TestElementwise:
         for t in (a, b, bias):
             ga = analytic_grad(f, t)
             assert max_rel_err(ga, fd_grad(f, t)) < 1e-6
-
-
-class TestReductions:
-    def test_mean(self):
-        assert ad.mean(Tensor([1.0, 2.0, 3.0])).item() == 2.0
-
-    def test_variance_population(self):
-        assert ad.variance(Tensor([1.0, 2.0, 3.0])).item() == pytest.approx(2.0 / 3.0)
-
-    def test_covariance_of_self_is_variance(self):
-        x = Tensor(np.random.default_rng(3).normal(size=(1, 7)))
-        assert ad.covariance(x, x).item() == pytest.approx(ad.variance(x).item())
-
-    def test_empty_rejected(self):
-        empty = Tensor(np.zeros((1, 0)))
-        with pytest.raises(ad.DimensionError):
-            ad.mean(empty)
-        with pytest.raises(ad.DimensionError):
-            ad.variance(empty)
-
-    def test_covariance_needs_two(self):
-        with pytest.raises(ad.DimensionError):
-            ad.covariance(Tensor([[1.0]]), Tensor([[1.0]]))
-
-    def test_reduction_gradients(self):
-        rng = np.random.default_rng(4)
-        a = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
-        b = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
-        for f in (lambda: ad.mean(a), lambda: ad.variance(a),
-                  lambda: ad.covariance(a, b)):
-            for t in (a, b):
-                ga = analytic_grad(f, t)
-                assert max_rel_err(ga, fd_grad(f, t)) < 1e-6
-
-
-class TestShiftAndSelect:
-    def test_shift_cols(self):
-        x = Tensor([[1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(ad.shift_cols(x, 1).data, [[0.0, 1.0, 2.0]])
-        np.testing.assert_array_equal(ad.shift_cols(x, 0).data, x.data)
-
-    def test_shift_cols_gradient(self):
-        x = Tensor(np.random.default_rng(5).normal(size=(2, 5)), requires_grad=True)
-        f = lambda: ad.tensor_sum(ad.mul(ad.shift_cols(x, 2), ad.shift_cols(x, 2)))
-        assert max_rel_err(analytic_grad(f, x), fd_grad(f, x)) < 1e-6
-
-    def test_select_cols_gradient_with_duplicates(self):
-        x = Tensor(np.random.default_rng(6).normal(size=(2, 4)), requires_grad=True)
-        idx = [0, 2, 2]
-        f = lambda: ad.tensor_sum(ad.mul(ad.select_cols(x, idx),
-                                         ad.select_cols(x, idx)))
-        assert max_rel_err(analytic_grad(f, x), fd_grad(f, x)) < 1e-6
 
 
 class TestBackwardContract:
@@ -256,10 +200,10 @@ class TestProperties:
         rng = np.random.default_rng(8)
         for _ in range(5):
             x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-            f = lambda: ad.mean(ad.tanh(ad.scale(ad.mul(x, x), 0.5)))
+            f = lambda: ad.tensor_sum(ad.tanh(ad.scale(ad.mul(x, x), 0.5)))
             ga = analytic_grad(f, x)
-            # product rule by hand: d/dx mean(tanh(x^2/2)) = (1-tanh^2) * x / N
-            expected = (1.0 - np.tanh(x.data ** 2 / 2) ** 2) * x.data / x.data.size
+            # product rule by hand: d/dx sum(tanh(x^2/2)) = (1-tanh^2) * x
+            expected = (1.0 - np.tanh(x.data ** 2 / 2) ** 2) * x.data
             assert max_rel_err(ga, expected) < 1e-12
             assert max_rel_err(ga, fd_grad(f, x)) < 1e-6
 

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -139,6 +140,30 @@ class TestEval:
                        "--manifest", str(other / "manifest.json"),
                        "--out", str(tmp_path / "e2")])
         assert rc == cli.EXIT_DATA
+
+
+NO_TCN_KERNEL = {"d_a": 4, "d_v": 4, "d_t": 4, "K": 20, "iterations": 3,
+                 "target": "valence", "seed": 0, "tcn_dilations": [1, 2]}
+
+
+class TestEvalBadCheckpointConfig:
+    # the config block starts at byte 12, after magic, version and length
+    @pytest.mark.parametrize("blob, message", [
+        (b'{"K": \xff}', "config is not UTF-8 at byte 18"),
+        (b'{"K": 16,', "config is not JSON at byte 21"),
+        (json.dumps(NO_TCN_KERNEL).encode(), "config lacks key 'tcn_kernel'"),
+    ], ids=["not-utf8", "not-json", "missing-key"])
+    def test_exits_with_data_error_naming_file(self, tmp_path, smoke_config,
+                                                dataset, capsys, blob, message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"RJCM" + struct.pack("<II", 1, len(blob)) + blob
+                         + struct.pack("<I", 0))
+        rc = cli.main(["eval", "--config", smoke_config,
+                       "--checkpoint", str(path),
+                       "--manifest", str(dataset / "manifest.json"),
+                       "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert f"{path}: {message}" in capsys.readouterr().err
 
 
 class TestGradcheck:

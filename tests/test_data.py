@@ -117,8 +117,6 @@ class TestMasks:
     def test_all_true_when_clean(self):
         w = dat.window(make_record(50), dat.WindowSpec(K=50, stride=50))[0]
         assert w.valence_mask.all() and w.arousal_mask.all()
-        for m in dat.MODALITIES:
-            assert w.frame_masks[m].all()
 
     def test_sentinel_masks_labels(self):
         rec = make_record(3)
@@ -126,13 +124,6 @@ class TestMasks:
         w = dat.window(rec, dat.WindowSpec(K=3, stride=3))[0]
         np.testing.assert_array_equal(w.valence_mask, [True, False, True])
         assert w.arousal_mask.all()
-
-    def test_dropout_frames_masked_per_modality(self):
-        rec = make_record(6)
-        rec.features["v"][:, 2] = 0.0
-        w = dat.window(rec, dat.WindowSpec(K=6, stride=6))[0]
-        assert not w.frame_masks["v"][2]
-        assert w.frame_masks["a"][2]
 
 
 class TestNormalizer:

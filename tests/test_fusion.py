@@ -12,7 +12,7 @@ from rjcma.metrics import ccc_loss
 def make_inputs(cfg, seed=0, mags=1.0):
     rng = np.random.default_rng(seed)
     return {
-        m: fu.ModalityFeatures(Tensor(mags * rng.normal(size=(cfg.dim(m), cfg.K))), m)
+        m: Tensor(mags * rng.normal(size=(cfg.dim(m), cfg.K)))
         for m in fu.MODALITIES
     }
 
@@ -73,18 +73,16 @@ class TestJointRepresentation:
         x = make_inputs(cfg)
         fc_w = Tensor(np.eye(6))
         fc_b = Tensor(np.zeros((6, 1)))
-        joint = fu.joint_representation(x["a"].features, x["v"].features,
-                                        x["t"].features, fc_w, fc_b)
+        joint = fu.joint_representation(x["a"], x["v"], x["t"], fc_w, fc_b)
         assert joint.shape == (6, 3)
 
     def test_identity_fc_gives_raw_concat(self):
         cfg = fu.FusionConfig(2, 2, 2, K=3)
         x = make_inputs(cfg)
-        joint = fu.joint_representation(x["a"].features, x["v"].features,
-                                        x["t"].features,
+        joint = fu.joint_representation(x["a"], x["v"], x["t"],
                                         Tensor(np.eye(6)), Tensor(np.zeros((6, 1))))
         expected = np.concatenate(
-            [x[m].features.data for m in ("a", "v", "t")], axis=0)
+            [x[m].data for m in ("a", "v", "t")], axis=0)
         np.testing.assert_array_equal(joint.data, expected)
 
     def test_column_locality(self):
@@ -183,8 +181,8 @@ class TestRjcmaForward:
         params = fu.RjcmaParams(cfg, np.random.default_rng(0))
         x = make_inputs(cfg, seed=1)
         out = fu.rjcma_forward(x["a"], x["v"], x["t"], params, cfg)
-        cat, preds = jca_single_pass(x["a"].features.data, x["v"].features.data,
-                                     x["t"].features.data, params.tensors)
+        cat, preds = jca_single_pass(x["a"].data, x["v"].data,
+                                     x["t"].data, params.tensors)
         np.testing.assert_array_equal(out.attended.data, cat)
         np.testing.assert_array_equal(out.predictions.data, preds)
 
@@ -198,7 +196,7 @@ class TestRjcmaForward:
         x = make_inputs(cfg, seed=2)
         out = fu.rjcma_forward(x["a"], x["v"], x["t"], params, cfg)
         expected = np.concatenate(
-            [x[m].features.data for m in fu.MODALITIES], axis=0)
+            [x[m].data for m in fu.MODALITIES], axis=0)
         np.testing.assert_array_equal(out.attended.data, expected)
 
     def test_deterministic_across_runs(self):
@@ -263,7 +261,7 @@ class TestRjcmaForward:
     def test_shape_mismatch_propagates(self):
         cfg = fu.FusionConfig(3, 3, 3, K=4)
         params = fu.RjcmaParams(cfg, np.random.default_rng(0))
-        bad = fu.ModalityFeatures(Tensor(np.ones((3, 5))), "a")
+        bad = Tensor(np.ones((3, 5)))
         good = make_inputs(cfg)
         with pytest.raises(ad.DimensionError):
             fu.rjcma_forward(bad, good["v"], good["t"], params, cfg)

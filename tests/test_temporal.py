@@ -50,6 +50,21 @@ class TestCausalDilatedConv:
         after = tp.causal_dilated_conv(Tensor(bumped), block).data
         assert np.array_equal(after[:, :t + 1], base[:, :t + 1])
 
+    def test_gradient_matches_finite_differences(self):
+        # channel change, dilation 3, and a tap whose lag (6) exceeds the
+        # 5 frames, so its gradient is exactly zero
+        rng = np.random.default_rng(8)
+        block = tp.TcnBlock(tp.TcnBlockConfig(3, 2, kernel_size=3, dilation=3), rng)
+        block.bias.data[:] = rng.normal(size=(2, 1))
+        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        probe = Tensor(rng.normal(size=(2, 5)))
+        params = {"x": x, "bias": block.bias}
+        params.update({f"tap{j}": tap for j, tap in enumerate(block.taps)})
+        report = ad.grad_check(
+            lambda: ad.tensor_sum(ad.mul(tp.causal_dilated_conv(x, block), probe)),
+            params, h=1e-5, tol=1e-6)
+        assert report.passed, report.errors
+
     def test_channel_mismatch(self):
         block = tp.TcnBlock(tp.TcnBlockConfig(3, 2), np.random.default_rng(0))
         with pytest.raises(ad.DimensionError):
@@ -107,9 +122,9 @@ class TestTcnStack:
     def test_two_block_gradient_check(self):
         rng = np.random.default_rng(7)
         stack = tp.TcnStack(3, rng, dilations=(1, 2))
-        x = Tensor(rng.normal(size=(3, 9)))
+        x = Tensor(rng.normal(size=(3, 9)), requires_grad=True)
         report = ad.grad_check(
-            lambda: ad.mean(ad.mul(tp.tcn_forward(x, stack),
-                                   tp.tcn_forward(x, stack))),
-            dict(stack.named()), h=1e-5, tol=1e-4)
+            lambda: ad.tensor_sum(ad.mul(tp.tcn_forward(x, stack),
+                                         tp.tcn_forward(x, stack))),
+            {"x": x, **dict(stack.named())}, h=1e-5, tol=1e-4)
         assert report.passed, report.errors
