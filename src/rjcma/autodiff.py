@@ -1,13 +1,21 @@
-"""Minimal reverse-mode automatic differentiation over dense 2-D float64 tensors.
+"""Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
-Every value is a row-major (rows, cols) float64 matrix. There is no
-broadcasting: elementwise ops require exact shape equality, and the only
-"broadcast-like" primitive is the explicit column-bias add. Scalars are
-represented as 1x1 tensors so reductions stay differentiable.
+Every value is a row-major (rows, cols) float64 matrix, or a batch of them
+stacked as (B, rows, cols), one per window. There is no broadcasting:
+elementwise ops require exact shape equality. The exceptions are explicit:
+the column-bias add, and a 2-D operand of `matmul` against a stack, which
+is a weight shared by every window of the batch and receives one gradient
+summed over it. Scalars are 1x1 tensors so reductions stay differentiable.
+
+Ops record onto an implicit tape only when an operand requires a gradient
+and recording is on; inside `no_grad()` they build no graph nodes and no
+backward closures.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -22,12 +30,14 @@ class GraphError(RuntimeError):
 
 
 class Tensor:
-    """Dense 2-D float64 tensor, optionally recording onto the implicit tape.
+    """Dense 2-D float64 tensor, or a (B, rows, cols) stack of them,
+    optionally recording onto the implicit tape.
 
     Tensors created by primitive ops hold references to their parents and a
     backward closure; `backward` replays those closures in reverse
     topological order. Leaf tensors (no parents) are the only ones whose
-    `.grad` is populated.
+    `.grad` is populated. Input data is 2-D; a batch of inputs is built
+    with `Tensor.stack`.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed")
@@ -39,11 +49,13 @@ class Tensor:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
             arr = arr.reshape(1, -1)
-        if arr.ndim != 2:
-            raise DimensionError(f"tensors are 2-D, got ndim={arr.ndim}")
         # only external input is validated; op results may legitimately
         # carry non-finite values that training diagnostics inspect
-        if _check and _backward_fn is None and not np.all(np.isfinite(arr)):
+        external = _check and _backward_fn is None
+        if arr.ndim != 2 and (external or arr.ndim != 3):
+            raise DimensionError(
+                f"input tensors are 2-D (a batch is built with Tensor.stack), got ndim={arr.ndim}")
+        if external and not np.all(np.isfinite(arr)):
             raise ValueError("non-finite values rejected at tensor construction")
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
@@ -52,17 +64,26 @@ class Tensor:
         self._backward_fn = _backward_fn
         self._consumed = False
 
+    @classmethod
+    def stack(cls, arrays: Sequence) -> "Tensor":
+        """A (B, rows, cols) batch of equally shaped 2-D inputs."""
+        parts = [cls(a).data for a in arrays]
+        if not parts or any(p.shape != parts[0].shape for p in parts):
+            raise DimensionError(
+                f"stack needs equally shaped parts, got {[p.shape for p in parts]}")
+        return cls(np.stack(parts), _check=False)
+
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -73,16 +94,53 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _needs_graph(*tensors: Tensor) -> bool:
-    return any(t.requires_grad or t._parents for t in tensors)
+_RECORDING: ContextVar[bool] = ContextVar("rjcma_autodiff_recording", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Within this scope ops compute values only: no graph, no closures."""
+    token = _RECORDING.set(False)
+    try:
+        yield
+    finally:
+        _RECORDING.reset(token)
+
+
+def _recording(*parents: Tensor) -> bool:
+    """Whether an op on `parents` must build a graph node."""
+    return _RECORDING.get() and any(t.requires_grad or t._parents for t in parents)
+
+
+def _value(data: np.ndarray) -> Tensor:
+    """An op's result when `_recording` is false."""
+    return Tensor(data, _check=False)
 
 
 def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
-    """Wrap an op's result: a graph node whose `backward_fn(g)` returns one
-    gradient (or None) per parent, or a plain tensor if no parent needs one."""
-    if _needs_graph(*parents):
-        return Tensor(data, requires_grad=False, _parents=parents, _backward_fn=backward_fn)
-    return Tensor(data, _check=False)
+    """A graph node whose `backward_fn(g)` returns one gradient (or None) per
+    parent. Ops call it only when `_recording(*parents)`, and return
+    `_value(data)` otherwise, so that no backward closure is built."""
+    return Tensor(data, requires_grad=False, _parents=parents, _backward_fn=backward_fn)
+
+
+def _unbatch(g: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Sum a per-window gradient over the batch for a 2-D operand."""
+    return g.sum(axis=0) if g.ndim > like.ndim else g
+
+
+def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y. A 2-D right factor is shared by a stack on the left, so the
+    product is one GEMM over the stacked rows; anything else goes through
+    numpy's stacked matmul (a 2-D left factor is applied per window, which
+    measured faster than one GEMM over transposed copies)."""
+    if x.ndim == 3 and y.ndim == 2:
+        return (x.reshape(-1, x.shape[-1]) @ y).reshape(*x.shape[:-1], y.shape[-1])
+    return np.matmul(x, y)
+
+
+def _t(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -90,38 +148,44 @@ def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
+    """a @ b over 2-D operands or (B, r, c) stacks; see the module docstring
+    for a 2-D operand against a stack."""
+    if a.cols != b.rows or (a.data.ndim == b.data.ndim == 3
+                            and a.shape[0] != b.shape[0]):
         raise DimensionError(f"matmul inner dims: {a.shape} x {b.shape}")
-    out = a.data @ b.data
+    out = _mm(a.data, b.data)
+    if not _recording(a, b):
+        return _value(out)
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        if b.data.ndim == 2 and g.ndim == 3:
+            # shared right weight: its gradient is one GEMM over stacked rows
+            gb = a.data.reshape(-1, a.cols).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _unbatch(np.matmul(_t(a.data), g), b.data)
+        return _unbatch(_mm(g, _t(b.data)), a.data), gb
 
     return _make(out, (a, b), bwd)
-
-
-def transpose(a: Tensor) -> Tensor:
-    def bwd(g):
-        return (g.T,)
-
-    return _make(a.data.T, (a,), bwd)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise DimensionError("concat_rows of zero parts")
-    k = parts[0].cols
+    lead = parts[0].shape[:-2] + (parts[0].cols,)
     for p in parts:
-        if p.cols != k:
-            raise DimensionError(f"concat_rows column mismatch: {p.cols} != {k}")
+        if p.shape[:-2] + (p.cols,) != lead:
+            raise DimensionError(
+                f"concat_rows column mismatch: {p.shape} vs {parts[0].shape}")
+    out = np.concatenate([p.data for p in parts], axis=-2)
+    if not _recording(*parts):
+        return _value(out)
     sizes = [p.rows for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=0)
 
     def bwd(g):
         grads = []
         off = 0
         for r in sizes:
-            grads.append(g[off:off + r])
+            grads.append(g[..., off:off + r, :])
             off += r
         return tuple(grads)
 
@@ -131,68 +195,53 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
-
-    def bwd(g):
-        return g, g
-
-    return _make(a.data + b.data, (a, b), bwd)
+    out = a.data + b.data
+    if not _recording(a, b):
+        return _value(out)
+    return _make(out, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-
-    def bwd(g):
-        return g * b.data, g * a.data
-
-    return _make(a.data * b.data, (a, b), bwd)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def bwd(g):
-        return (g * s,)
-
-    return _make(a.data * s, (a,), bwd)
+    out = a.data * b.data
+    if not _recording(a, b):
+        return _value(out)
+    return _make(out, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return _make(out, (a,), bwd)
+    if not _recording(a):
+        return _value(out)
+    return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def relu(a: Tensor) -> Tensor:
     # subgradient at exactly 0 is 0
     mask = a.data > 0.0
     out = np.where(mask, a.data, 0.0)
-
-    def bwd(g):
-        return (g * mask,)
-
-    return _make(out, (a,), bwd)
+    if not _recording(a):
+        return _value(out)
+    return _make(out, (a,), lambda g: (g * mask,))
 
 
 def add_col_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a (rows x 1) bias vector to every column of x."""
-    if b.cols != 1 or b.rows != x.rows:
+    """Add a (rows x 1) bias vector to every column of x (of every window)."""
+    if b.data.ndim != 2 or b.cols != 1 or b.rows != x.rows:
         raise DimensionError(f"bias shape {b.shape} incompatible with {x.shape}")
-
-    def bwd(g):
-        return g, g.sum(axis=1, keepdims=True)
-
-    return _make(x.data + b.data, (x, b), bwd)
+    out = x.data + b.data
+    if not _recording(x, b):
+        return _value(out)
+    return _make(out, (x, b),
+                 lambda g: (g, _unbatch(g.sum(axis=-1, keepdims=True), b.data)))
 
 
 def tensor_sum(a: Tensor) -> Tensor:
-    def bwd(g):
-        return (np.full_like(a.data, g[0, 0]),)
-
-    return _make(np.array([[a.data.sum()]]), (a,), bwd)
+    out = np.array([[a.data.sum()]])
+    if not _recording(a):
+        return _value(out)
+    return _make(out, (a,), lambda g: (np.full_like(a.data, g[0, 0]),))
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +348,9 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
     backward(loss, leaves=params.values())
     analytic = {name: p.grad.copy() for name, p in params.items()}
 
+    errors: dict[str, float] = {}
     # numeric passes do not need the graph
-    flags = {name: p.requires_grad for name, p in params.items()}
-    for p in params.values():
-        p.requires_grad = False
-    try:
-        errors: dict[str, float] = {}
+    with no_grad():
         for name, p in params.items():
             worst = 0.0
             flat = p.data.ravel()
@@ -319,8 +365,5 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
                 numeric = (f_plus - f_minus) / (2.0 * h)
                 worst = max(worst, relative_error(aflat[i], numeric))
             errors[name] = worst
-    finally:
-        for name, p in params.items():
-            p.requires_grad = flags[name]
-        zero_grads(params.values())
+    zero_grads(params.values())
     return GradCheckReport(errors, tol)

@@ -119,9 +119,37 @@ def joint_representation(xa: Tensor, xv: Tensor, xt: Tensor,
 
 
 def joint_cross_correlation(xm: Tensor, joint: Tensor, w_j: Tensor) -> Tensor:
-    """tanh-squashed, sqrt(d)-scaled correlation between X_m and the joint rep."""
-    prod = ad.matmul(ad.matmul(ad.transpose(xm), w_j), joint)
-    return ad.tanh(ad.scale(prod, 1.0 / math.sqrt(joint.rows)))
+    """C_m = tanh(X_m^T (W_j J / sqrt(d))), as one graph node.
+
+    Grouping W_j J first keeps the inner dimension of the K x K product at
+    d_m rather than d. The node keeps only C (K x K per window), and its
+    backward writes the derivative through tanh over C in place: every
+    consumer of C has run its backward by then, but the node's `.data` no
+    longer holds C after `backward`.
+    """
+    if xm.rows != w_j.rows or w_j.cols != joint.rows or xm.shape[:-2] != joint.shape[:-2]:
+        raise ad.DimensionError(
+            f"correlation shapes: X {xm.shape}, W_j {w_j.shape}, J {joint.shape}")
+    s = 1.0 / math.sqrt(joint.rows)
+    a = np.matmul(w_j.data, joint.data)
+    a *= s
+    c = np.matmul(xm.data.swapaxes(-1, -2), a)
+    np.tanh(c, out=c)
+    parents = (xm, joint, w_j)
+    if not ad._recording(*parents):
+        return ad._value(c)
+
+    def bwd(g):
+        gp = np.multiply(c, c, out=c)
+        np.subtract(1.0, gp, out=gp)
+        gp *= g                                   # d loss / d (X^T A)
+        ga = np.matmul(xm.data, gp)
+        gx = np.matmul(a, gp.swapaxes(-1, -2))
+        ga *= s                                   # d loss / d (W_j J)
+        gw = ad._unbatch(np.matmul(ga, joint.data.swapaxes(-1, -2)), w_j.data)
+        return gx, np.matmul(w_j.data.T, ga), gw
+
+    return ad._make(c, parents, bwd)
 
 
 def attention_map(xm: Tensor, corr: Tensor, w_c: Tensor) -> Tensor:
@@ -152,7 +180,7 @@ def rjcma_forward(xa: Tensor, xv: Tensor, xt: Tensor,
     feats = {"a": xa, "v": xv, "t": xt}
     for m in MODALITIES:
         expected = (config.dim(m), config.K)
-        if feats[m].shape != expected:
+        if feats[m].shape[-2:] != expected:
             raise ad.DimensionError(
                 f"modality {m} shape {feats[m].shape}, expected {expected}")
 

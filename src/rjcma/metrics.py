@@ -61,24 +61,38 @@ def ccc(pred, gt, mask=None) -> float:
 
 
 def ccc_loss(pred: Tensor, gt, mask=None) -> Tensor:
-    """Differentiable 1 - rho_c over unmasked frames of a (1 x K) prediction.
+    """Differentiable 1 - rho_c over unmasked frames of a (1 x K) prediction,
+    or the mean of the per-window 1 - rho_c over a (B, 1, K) batch, whose
+    labels and masks are (B, K).
 
-    One graph node. Over the n unmasked frames, with D the denominator of
-    rho_c, d(1 - rho_c)/dx = -2 / (n D) * (cy - rho_c * (cx + mean(x) - mean(y)));
+    One graph node. Over the n unmasked frames of a window, with D the
+    denominator of its rho_c,
+    d(1 - rho_c)/dx = -2 / (n D) * (cy - rho_c * (cx + mean(x) - mean(y)));
     masked frames get exactly zero gradient.
     """
-    if pred.rows != 1 or pred.cols != np.size(gt):
+    if pred.rows != 1 or np.size(gt) != pred.data.size:
         raise ad.DimensionError(
             f"prediction shape {pred.shape} vs {np.size(gt)} labels")
-    x, y, mask = _validate(pred.data, gt, mask)
-    rho, cx, cy, dm, denom = _concordance(x, y)
+    preds = pred.data.reshape(-1, pred.cols)
+    gts = np.reshape(gt, preds.shape)
+    masks = [None] * len(preds) if mask is None else np.reshape(mask, preds.shape)
+    stats = []
+    for x, y, m in zip(preds, gts, masks):
+        x, y, m = _validate(x, y, m)
+        stats.append((m, x.size) + _concordance(x, y))
+    value = sum(1.0 - rho for _, _, rho, *_ in stats) / len(stats)
+    if not ad._recording(pred):
+        return ad._value(np.array([[value]]))
 
     def bwd(g):
         grad = np.zeros_like(pred.data)
-        grad[0, mask] = g[0, 0] * -2.0 / (x.size * denom) * (cy - rho * (cx + dm))
+        rows = grad.reshape(preds.shape)
+        scale = g[0, 0] / len(stats)
+        for row, (m, n, rho, cx, cy, dm, denom) in zip(rows, stats):
+            row[m] = scale * -2.0 / (n * denom) * (cy - rho * (cx + dm))
         return (grad,)
 
-    return ad._make(np.array([[1.0 - rho]]), (pred,), bwd)
+    return ad._make(np.array([[value]]), (pred,), bwd)
 
 
 @dataclass

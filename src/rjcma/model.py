@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from . import autodiff as ad
 from . import checkpoint as ckpt
 from .autodiff import Tensor
 from .data import MODALITIES, Normalizer, Window
@@ -53,22 +56,24 @@ class RjcmaModel:
             raise ValueError(f"state mismatch on {sorted(missing)[:5]}")
         for name, arr in state.items():
             if params[name].data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}")
+                raise ValueError(f"shape mismatch for {name}: {arr.shape}, "
+                                 f"expected {params[name].data.shape}")
             params[name].data = arr.copy()
 
     # -- forward ------------------------------------------------------------
 
-    def _inputs(self, win: Window) -> dict[str, Tensor]:
+    def _inputs(self, windows: Sequence[Window]) -> dict[str, Tensor]:
         out = {}
         for m in MODALITIES:
-            feats = win.features[m]
+            feats = [w.features[m] for w in windows]
             if self.normalizer is not None:
-                feats = self.normalizer.transform(feats, m)
-            out[m] = Tensor(feats)
+                feats = [self.normalizer.transform(f, m) for f in feats]
+            out[m] = Tensor.stack(feats)
         return out
 
-    def forward_window(self, win: Window):
-        x = self._inputs(win)
+    def forward_window(self, windows: Sequence[Window]):
+        """Forward a batch of windows as one graph over (B, d_m, K) stacks."""
+        x = self._inputs(windows)
         encoded = {m: tcn_forward(x[m], self.tcn[m]) for m in MODALITIES}
         return rjcma_forward(encoded["a"], encoded["v"], encoded["t"],
                              self.fusion, self.config)
@@ -76,12 +81,19 @@ class RjcmaModel:
     def predict(self, win: Window, target: str | None = None) -> np.ndarray:
         if target is not None and target != self.target:
             raise ValueError(f"model predicts {self.target}, asked for {target}")
-        return self.forward_window(win).predictions.data.ravel().copy()
+        with ad.no_grad():
+            out = self.forward_window([win])
+        return out.predictions.data.ravel().copy()
+
+    def loss_on_batch(self, windows: Sequence[Window]) -> Tensor:
+        """Mean over the windows of 1 - CCC on each window's valid frames."""
+        out = self.forward_window(windows)
+        return ccc_loss(out.predictions,
+                        np.stack([w.labels(self.target) for w in windows]),
+                        np.stack([w.label_mask(self.target) for w in windows]))
 
     def loss_on_window(self, win: Window) -> Tensor:
-        out = self.forward_window(win)
-        return ccc_loss(out.predictions, win.labels(self.target),
-                        win.label_mask(self.target))
+        return self.loss_on_batch([win])
 
     # -- persistence ---------------------------------------------------------
 
@@ -103,23 +115,45 @@ class RjcmaModel:
 
     @classmethod
     def load(cls, path) -> "RjcmaModel":
+        """The model a checkpoint holds. A config key that is missing or of
+        the wrong type, an invalid value, or a tensor that is missing or
+        mis-shaped for the config raises CheckpointError naming the file
+        and the key or tensor."""
         config, tensors = ckpt.read_checkpoint(path)
+        for key, valid in _CONFIG_TYPES.items():
+            if key not in config:
+                raise ckpt.CheckpointError(f"{path}: config lacks key {key!r}")
+            if not valid(config[key]):
+                raise ckpt.CheckpointError(
+                    f"{path}: config key {key!r} has the wrong type: {config[key]!r}")
+        norm = {n: a for n, a in tensors.items() if n.startswith("norm/")}
         try:
-            fusion_cfg = FusionConfig(d_a=config["d_a"], d_v=config["d_v"],
-                                      d_t=config["d_t"], K=config["K"],
-                                      iterations=config["iterations"])
-            kwargs = dict(target=config["target"], seed=config["seed"],
-                          tcn_kernel=config["tcn_kernel"],
-                          tcn_dilations=tuple(config["tcn_dilations"]))
+            normalizer = Normalizer.from_named_arrays(norm) if norm else None
         except KeyError as e:
             raise ckpt.CheckpointError(
-                f"{path}: config lacks key {e.args[0]!r}") from None
-        norm_names = {n for n in tensors if n.startswith("norm/")}
-        normalizer = None
-        if norm_names:
-            normalizer = Normalizer.from_named_arrays(
-                {n: tensors[n] for n in norm_names})
-        model = cls(fusion_cfg, normalizer=normalizer, **kwargs)
-        model.load_state_arrays(
-            {n: a for n, a in tensors.items() if n not in norm_names})
+                f"{path}: checkpoint lacks tensor {e.args[0]!r}") from None
+        try:
+            model = cls(FusionConfig(d_a=config["d_a"], d_v=config["d_v"],
+                                     d_t=config["d_t"], K=config["K"],
+                                     iterations=config["iterations"]),
+                        normalizer=normalizer, target=config["target"],
+                        seed=config["seed"], tcn_kernel=config["tcn_kernel"],
+                        tcn_dilations=tuple(config["tcn_dilations"]))
+            model.load_state_arrays(
+                {n: a for n, a in tensors.items() if n not in norm})
+        except ValueError as e:
+            raise ckpt.CheckpointError(f"{path}: {e}") from None
         return model
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the config keys `RjcmaModel.load` reads, each with its JSON type
+_CONFIG_TYPES = {
+    **dict.fromkeys(("d_a", "d_v", "d_t", "K", "iterations", "seed", "tcn_kernel"),
+                    _is_int),
+    "target": lambda value: isinstance(value, str),
+    "tcn_dilations": lambda value: isinstance(value, list) and all(map(_is_int, value)),
+}

@@ -52,7 +52,8 @@ class TcnBlock:
 
 def causal_dilated_conv(x: Tensor, block: TcnBlock) -> Tensor:
     """sum over j of taps[j] @ (x delayed by (kernel_size-1-j)*dilation frames,
-    zero-filled) plus the bias, as one graph node with parents (x, *taps, bias)."""
+    zero-filled) plus the bias, as one graph node with parents (x, *taps, bias).
+    A (B, channels, frames) x is delayed within each window."""
     cfg = block.cfg
     if x.rows != cfg.channels_in:
         raise ad.DimensionError(
@@ -66,17 +67,23 @@ def causal_dilated_conv(x: Tensor, block: TcnBlock) -> Tensor:
     delayed = []
     for nj in n:
         xs = np.zeros_like(x.data)
-        xs[:, frames - nj:] = x.data[:, :nj]
+        xs[..., frames - nj:] = x.data[..., :nj]
         delayed.append(xs)
-    out = sum(w @ xs for w, xs in zip(weights, delayed)) + block.bias.data
+    out = sum(np.matmul(w, xs) for w, xs in zip(weights, delayed)) + block.bias.data
+    parents = (x, *block.taps, block.bias)
+    if not ad._recording(*parents):
+        return ad._value(out)
 
     def bwd(g):
         gx = np.zeros_like(x.data)
         for w, nj in zip(weights, n):
-            gx[:, :nj] += w.T @ g[:, frames - nj:]
-        return (gx, *(g @ xs.T for xs in delayed), g.sum(axis=1, keepdims=True))
+            gx[..., :nj] += np.matmul(w.T, g[..., frames - nj:])
+        taps = (ad._unbatch(np.matmul(g, xs.swapaxes(-1, -2)), w)
+                for w, xs in zip(weights, delayed))
+        bias = ad._unbatch(g.sum(axis=-1, keepdims=True), block.bias.data)
+        return (gx, *taps, bias)
 
-    return ad._make(out, (x, *block.taps, block.bias), bwd)
+    return ad._make(out, parents, bwd)
 
 
 class TcnStack:

@@ -149,8 +149,8 @@ def _trainable(windows, target):
 
 def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitResult:
     """Seeded epoch loop: shuffle, batch, per-window CCC loss averaged over the
-    batch, Adam step, validation CCC, best-state snapshot and end-of-epoch
-    reload, early stopping."""
+    batch in one graph, Adam step, validation CCC, best-state snapshot and
+    end-of-epoch reload, early stopping."""
     target = model.target
     train_windows = _trainable(train_windows, target)
     val_windows = _trainable(val_windows, target)
@@ -172,11 +172,7 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
         epoch_losses = []
         for bi in range(n_batches):
             batch = order[bi * cfg.batch_size:(bi + 1) * cfg.batch_size]
-            losses = [model.loss_on_window(train_windows[i]) for i in batch]
-            total = losses[0]
-            for extra in losses[1:]:
-                total = ad.add(total, extra)
-            loss = ad.scale(total, 1.0 / len(losses))
+            loss = model.loss_on_batch([train_windows[i] for i in batch])
             value = loss.item()
             if not math.isfinite(value):
                 raise NumericalError(

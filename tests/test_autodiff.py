@@ -49,6 +49,19 @@ class TestConstruction:
         with pytest.raises(ad.DimensionError):
             Tensor(np.zeros((2, 2, 2)))
 
+    def test_stack_builds_a_validated_batch(self):
+        assert Tensor.stack([np.ones((2, 3)), np.zeros((2, 3))]).shape == (2, 2, 3)
+        with pytest.raises(ad.DimensionError):
+            Tensor.stack([np.ones((2, 3)), np.ones((3, 2))])
+        with pytest.raises(ValueError):
+            Tensor.stack([np.ones((2, 3)), np.full((2, 3), np.nan)])
+
+
+def leaf(arr):
+    t = Tensor.stack(arr) if arr.ndim == 3 else Tensor(arr)
+    t.requires_grad = True
+    return t
+
 
 class TestMatmul:
     def test_identity(self):
@@ -73,19 +86,20 @@ class TestMatmul:
             assert max_rel_err(analytic_grad(f, t), fd_grad(f, t)) < 1e-6
 
 
-class TestTranspose:
-    def test_involution(self):
-        m = Tensor(np.arange(6.0).reshape(2, 3))
-        np.testing.assert_array_equal(ad.transpose(ad.transpose(m)).data, m.data)
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)), ((2, 3, 4), (2, 4, 5)),
+    ], ids=["shared-right", "shared-left", "per-window"])
+    def test_batched_gradients_match_finite_differences(self, shapes):
+        rng = np.random.default_rng(3)
+        a, b = (leaf(rng.normal(size=s)) for s in shapes)
+        r = Tensor.stack(rng.normal(size=(2, 3, 5)))
+        f = lambda: ad.tensor_sum(ad.mul(ad.matmul(a, b), r))
+        for t in (a, b):
+            assert max_rel_err(analytic_grad(f, t), fd_grad(f, t)) < 1e-6
 
-    def test_row_to_column(self):
-        out = ad.transpose(Tensor([[1.0, 2.0, 3.0]]))
-        np.testing.assert_array_equal(out.data, [[1.0], [2.0], [3.0]])
-
-    def test_gradient(self):
-        x = Tensor(np.random.default_rng(1).normal(size=(2, 3)), requires_grad=True)
-        f = lambda: ad.tensor_sum(ad.mul(ad.transpose(x), ad.transpose(x)))
-        assert max_rel_err(analytic_grad(f, x), fd_grad(f, x)) < 1e-6
+    def test_batch_size_mismatch(self):
+        with pytest.raises(ad.DimensionError):
+            ad.matmul(Tensor.stack(np.ones((2, 3, 4))), Tensor.stack(np.ones((3, 4, 5))))
 
 
 class TestConcatRows:
@@ -135,7 +149,7 @@ class TestElementwise:
         assert ga[0, 0] == 1.0
         assert max_rel_err(ga, fd_grad(f, x)) < 1e-6
 
-    @pytest.mark.parametrize("op", ["tanh", "add", "mul", "scale", "add_col_bias"])
+    @pytest.mark.parametrize("op", ["tanh", "add", "mul", "add_col_bias"])
     def test_gradients_vs_finite_differences(self, op):
         rng = np.random.default_rng(42)
         a = Tensor(rng.normal(size=(3, 4)) + 2.0, requires_grad=True)
@@ -145,7 +159,6 @@ class TestElementwise:
             "tanh": lambda: ad.tensor_sum(ad.tanh(a)),
             "add": lambda: ad.tensor_sum(ad.mul(ad.add(a, b), b)),
             "mul": lambda: ad.tensor_sum(ad.mul(a, b)),
-            "scale": lambda: ad.tensor_sum(ad.scale(ad.mul(a, a), 0.3)),
             "add_col_bias": lambda: ad.tensor_sum(
                 ad.mul(ad.add_col_bias(a, bias), a)),
         }
@@ -200,12 +213,23 @@ class TestProperties:
         rng = np.random.default_rng(8)
         for _ in range(5):
             x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-            f = lambda: ad.tensor_sum(ad.tanh(ad.scale(ad.mul(x, x), 0.5)))
+            half = Tensor(np.full((2, 3), 0.5))
+            f = lambda: ad.tensor_sum(ad.tanh(ad.mul(ad.mul(x, x), half)))
             ga = analytic_grad(f, x)
             # product rule by hand: d/dx sum(tanh(x^2/2)) = (1-tanh^2) * x
             expected = (1.0 - np.tanh(x.data ** 2 / 2) ** 2) * x.data
             assert max_rel_err(ga, expected) < 1e-12
             assert max_rel_err(ga, fd_grad(f, x)) < 1e-6
+
+
+class TestNoGrad:
+    def test_builds_no_graph_and_scope_ends(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with ad.no_grad():
+            out = ad.tanh(ad.matmul(w, w))
+        assert out._parents == () and out._backward_fn is None
+        np.testing.assert_array_equal(out.data, ad.tanh(ad.matmul(w, w)).data)
+        assert ad.tanh(ad.matmul(w, w))._parents
 
 
 class TestGradCheck:

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from rjcma import autodiff as ad
+from rjcma import checkpoint as ck
 from rjcma import cli
+from rjcma.fusion import FusionConfig
+from rjcma.model import RjcmaModel
 
 
 SMOKE = {
@@ -152,12 +155,35 @@ class TestEvalBadCheckpointConfig:
         (b'{"K": \xff}', "config is not UTF-8 at byte 18"),
         (b'{"K": 16,', "config is not JSON at byte 21"),
         (json.dumps(NO_TCN_KERNEL).encode(), "config lacks key 'tcn_kernel'"),
-    ], ids=["not-utf8", "not-json", "missing-key"])
+        (json.dumps(dict(NO_TCN_KERNEL, tcn_kernel=3, K="twenty")).encode(),
+         "config key 'K' has the wrong type: 'twenty'"),
+    ], ids=["not-utf8", "not-json", "missing-key", "wrong-type"])
     def test_exits_with_data_error_naming_file(self, tmp_path, smoke_config,
                                                 dataset, capsys, blob, message):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"RJCM" + struct.pack("<II", 1, len(blob)) + blob
                          + struct.pack("<I", 0))
+        rc = cli.main(["eval", "--config", smoke_config,
+                       "--checkpoint", str(path),
+                       "--manifest", str(dataset / "manifest.json"),
+                       "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+
+class TestEvalBadCheckpointTensors:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.pop("head/w1"), "state mismatch on ['head/w1']"),
+        (lambda t: t.update({"iter2/W_cv": np.ones((20, 19))}),
+         "shape mismatch for iter2/W_cv: (20, 19), expected (20, 20)"),
+    ], ids=["missing-tensor", "misshaped-tensor"])
+    def test_exits_with_data_error_naming_tensor(self, tmp_path, smoke_config,
+                                                  dataset, capsys, edit, message):
+        model = RjcmaModel(FusionConfig(4, 4, 4, K=20), "valence", seed=0)
+        tensors = model.state_arrays()
+        edit(tensors)
+        path = tmp_path / "bad.bin"
+        ck.write_checkpoint(path, model.checkpoint_config(), tensors)
         rc = cli.main(["eval", "--config", smoke_config,
                        "--checkpoint", str(path),
                        "--manifest", str(dataset / "manifest.json"),

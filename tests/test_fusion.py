@@ -135,6 +135,24 @@ class TestJointCrossCorrelation:
         assert np.all(np.abs(corr.data) < 1.0)
         assert corr.shape == (5, 5)
 
+    @pytest.mark.parametrize("batch", [(), (2,)], ids=["window", "batch"])
+    def test_gradient_matches_finite_differences(self, batch):
+        rng = np.random.default_rng(4)
+
+        def leaf(*shape):
+            arr = rng.normal(size=shape)
+            t = Tensor.stack(arr) if arr.ndim == 3 else Tensor(arr)
+            t.requires_grad = True
+            return t
+
+        x, joint, w = leaf(*batch, 3, 5), leaf(*batch, 9, 5), leaf(3, 9)
+        probe = Tensor.stack(rng.normal(size=(2, 5, 5))) if batch else \
+            Tensor(rng.normal(size=(5, 5)))
+        report = ad.grad_check(
+            lambda: ad.tensor_sum(ad.mul(fu.joint_cross_correlation(x, joint, w), probe)),
+            {"x": x, "joint": joint, "w_j": w}, h=1e-6, tol=1e-6)
+        assert report.passed, report.errors
+
 
 class TestAttentionMap:
     def test_zero_weight(self):

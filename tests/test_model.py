@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from rjcma import autodiff as ad
 from rjcma import checkpoint as ck
 from rjcma import data as dat
 from rjcma.fusion import FusionConfig
+from rjcma.metrics import ccc
 from rjcma.model import RjcmaModel
 
 
@@ -99,3 +101,65 @@ class TestModelPersistence:
         model = RjcmaModel(FusionConfig(4, 4, 4, K=16), "valence", seed=1)
         preds = model.predict(make_window(seed=7))
         assert np.all(np.abs(preds) <= 1.0)
+
+
+def batch_setup(k=16, d=4, iterations=2, seed=4):
+    """Windows of three sequences, with sentinel labels and padded tails, and
+    a model whose attention weights are O(1) so the K x K path matters."""
+    syn = dat.SyntheticConfig(n_sequences=3, t_min=40, t_max=50, d_a=d, d_v=d,
+                              d_t=d, invalid_label_prob=0.1)
+    recs = dat.generate_synthetic(syn, seed=seed)
+    wins = [w for r in recs for w in dat.window(r, dat.WindowSpec(K=k, stride=k * 3 // 4))]
+    model = RjcmaModel(FusionConfig(d, d, d, K=k, iterations=iterations),
+                       "valence", seed=seed, normalizer=dat.Normalizer().fit(recs))
+    rng = np.random.default_rng(seed + 1)
+    for name, p in model.parameters().items():
+        if "/W_c" in name or "/W_h" in name:
+            p.data = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    return model, wins
+
+
+def gradients(model, loss):
+    params = model.parameters()
+    ad.zero_grads(params.values())
+    ad.backward(loss, leaves=params.values())
+    return {name: p.grad for name, p in params.items()}
+
+
+class TestBatchedPath:
+    def test_loss_is_mean_of_per_window_one_minus_ccc(self):
+        model, wins = batch_setup()
+        per_window = [1.0 - ccc(model.predict(w), w.valence, w.valence_mask)
+                      for w in wins]
+        assert model.loss_on_batch(wins).item() == pytest.approx(
+            np.mean(per_window), rel=1e-12)
+
+    def test_gradients_match_summed_per_window_backward(self):
+        # batches as fit forms them at batch size 5: the last one is short
+        model, wins = batch_setup()
+        batches = [wins[i:i + 5] for i in range(0, len(wins), 5)]
+        assert len(batches[-1]) < 5
+        assert any(w.n_padded and not w.valence_mask.all() for w in wins)
+        for batch in batches:
+            got = gradients(model, model.loss_on_batch(batch))
+            per_window = [gradients(model, model.loss_on_window(w)) for w in batch]
+            for name, g in got.items():
+                want = sum(pw[name] for pw in per_window) / len(batch)
+                assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    def test_grad_check_on_a_batch_of_three(self):
+        model, wins = batch_setup(k=6, d=3, seed=2)
+        report = ad.grad_check(lambda: model.loss_on_batch(wins[:3]),
+                               model.parameters(), h=1e-5, tol=1e-4)
+        assert report.passed, sorted(report.errors.items(), key=lambda kv: -kv[1])[:3]
+
+    def test_predict_builds_no_graph_and_matches_the_recorded_forward(self, monkeypatch):
+        model, wins = batch_setup()
+        recorded = model.forward_window([wins[0]]).predictions
+        assert recorded._parents
+        nodes = []
+        make = ad._make
+        monkeypatch.setattr(ad, "_make", lambda *args: nodes.append(args) or make(*args))
+        pred = model.predict(wins[0])
+        assert nodes == []
+        np.testing.assert_array_equal(pred, recorded.data.ravel())

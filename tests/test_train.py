@@ -207,7 +207,7 @@ class TestFit:
         model = RjcmaModel(fusion, target="valence", seed=0)
         nan = Tensor([[0.0]])
         nan.data[0, 0] = np.nan
-        monkeypatch.setattr(model, "loss_on_window", lambda w: nan)
+        monkeypatch.setattr(model, "loss_on_batch", lambda ws: nan)
         cfg = tr.TrainConfig(max_epochs=2, seed=0)
         with pytest.raises(tr.NumericalError, match="epoch 0 batch 0"):
             tr.fit(model, wins[:4], wins[4:6], cfg)
