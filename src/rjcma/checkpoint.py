@@ -40,17 +40,6 @@ def write_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None
     Path(path).write_bytes(b"".join(parts))
 
 
-def _text(r: _Reader, what: str) -> str:
-    """Length-prefixed UTF-8 string at the reader's cursor."""
-    n = r.u32()
-    start = r.off
-    try:
-        return r.take(n).decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise CheckpointError(
-            f"{r.path}: {what} is not UTF-8 at byte {start + e.start}") from None
-
-
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     r = _Reader(Path(path).read_bytes(), path, CheckpointError)
     if r.take(4) != _MAGIC:
@@ -59,7 +48,7 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     if version != _VERSION:
         raise CheckpointError(f"{path}: unsupported version {version} at byte 4")
     start = r.off + 4  # the config text follows its u32 length
-    text = _text(r, "config")
+    text = r.text("config")
     try:
         config = json.loads(text)
     except json.JSONDecodeError as e:
@@ -70,7 +59,7 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(f"{path}: config at byte {start} is not a JSON object")
     tensors = {}
     for _ in range(r.u32()):
-        name = _text(r, "tensor name")
+        name = r.text("tensor name")
         rows, cols = r.u64(), r.u64()
         tensors[name] = r.f64_array(rows * cols).reshape(rows, cols)
     if r.off != len(r.blob):

@@ -14,7 +14,7 @@ import copy
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from . import checkpoint as ckpt
 from . import data as dat
 from .autodiff import grad_check
 from .fusion import FusionConfig
-from .model import RjcmaModel
+from .model import RjcmaModel, _is_int
 from .train import (NumericalError, TrainConfig, cross_validate, fit,
                     train_fold, evaluate_model)
 
@@ -91,6 +91,8 @@ def load_config(path: str | None, overrides: list[str], args) -> dict:
             cursor = cursor[k]
         cursor[keys[-1]] = value
         _merge(cfg, node)
+    if not _is_int(cfg["seed"]):
+        raise ConfigError(f"seed must be int, got {cfg['seed']!r}")
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
         cfg["train"]["seed"] = args.seed
@@ -120,15 +122,55 @@ def echo_config(run_dir: Path, cfg: dict) -> None:
         json.dumps(cfg, indent=2, sort_keys=True) + "\n")
 
 
-def _fusion_config(cfg: dict, iterations: int | None = None) -> FusionConfig:
-    syn = cfg["synthetic"]
-    return FusionConfig(d_a=syn["d_a"], d_v=syn["d_v"], d_t=syn["d_t"],
-                        K=cfg["window"]["K"],
-                        iterations=iterations or cfg["train"]["iterations"])
+# the JSON values a config dataclass field of each annotated type accepts
+_FIELD_TYPES = {
+    "int": _is_int,
+    "float": lambda value: _is_int(value) or isinstance(value, float),
+    "str": lambda value: isinstance(value, str),
+}
 
 
-def _window_spec(cfg: dict) -> dat.WindowSpec:
-    return dat.WindowSpec(K=cfg["window"]["K"], stride=cfg["window"]["stride"])
+def _build(cls, section: str, values: dict):
+    """`cls(**values)` for one config section. A value of the wrong type or
+    one the dataclass rejects raises ConfigError naming the key and value
+    (the dataclasses start each message with the field and its value)."""
+    for f in fields(cls):
+        if f.name in values and not _FIELD_TYPES[f.type](values[f.name]):
+            raise ConfigError(
+                f"{section}.{f.name} must be {f.type}, got {values[f.name]!r}")
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise ConfigError(f"{section}.{e}") from None
+
+
+def _train_config(cfg: dict, **changes) -> TrainConfig:
+    return _build(TrainConfig, "train", {**cfg["train"], **changes})
+
+
+def _synthetic_config(cfg: dict) -> dat.SyntheticConfig:
+    return _build(dat.SyntheticConfig, "synthetic", cfg["synthetic"])
+
+
+def _window_spec(cfg: dict, K: int | None = None) -> dat.WindowSpec:
+    """The window section; `K` (a checkpoint's) replaces window.K."""
+    window = cfg["window"] if K is None else {**cfg["window"], "K": K}
+    return _build(dat.WindowSpec, "window", window)
+
+
+def _fusion_config(cfg: dict, iterations: int) -> FusionConfig:
+    """`iterations` comes from a checked TrainConfig."""
+    syn = _synthetic_config(cfg)
+    return FusionConfig(d_a=syn.d_a, d_v=syn.d_v, d_t=syn.d_t,
+                        K=_window_spec(cfg).K, iterations=iterations)
+
+
+def _folds(cfg: dict, sequence_ids: list[str]) -> dict[str, int]:
+    try:
+        return dat.make_folds(sequence_ids, cfg["n_folds"], cfg["seed"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"n_folds={cfg['n_folds']!r} must be an integer in "
+                          f"[1, {len(sequence_ids)} sequences]") from None
 
 
 def _load_split(manifest: str, split: str):
@@ -145,11 +187,10 @@ def _load_split(manifest: str, split: str):
 
 def cmd_gen(args) -> int:
     cfg = load_config(args.config, args.set, args)
-    syn = dat.SyntheticConfig(**cfg["synthetic"])
+    records = dat.generate_synthetic(_synthetic_config(cfg), cfg["seed"])
+    folds = _folds(cfg, [r.id for r in records])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    records = dat.generate_synthetic(syn, cfg["seed"])
-    folds = dat.make_folds([r.id for r in records], cfg["n_folds"], cfg["seed"])
     entries = []
     for rec in records:
         path = out / f"{rec.id}.mmf"
@@ -165,11 +206,11 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set, args)
+    spec = _window_spec(cfg)
+    tcfg = _train_config(cfg)
+    fusion_cfg = _fusion_config(cfg, tcfg.iterations)
     run_dir = new_run_dir(args.out)
     echo_config(run_dir, cfg)
-    spec = _window_spec(cfg)
-    tcfg = TrainConfig(**cfg["train"])
-    fusion_cfg = _fusion_config(cfg, tcfg.iterations)
 
     train_recs = _load_split(args.manifest, "train")
     val_recs = _load_split(args.manifest, "val")
@@ -192,7 +233,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set, args)
     model = RjcmaModel.load(args.checkpoint)
-    spec = dat.WindowSpec(K=model.config.K, stride=cfg["window"]["stride"])
+    spec = _window_spec(cfg, K=model.config.K)
     recs = _load_split(args.manifest, args.split)
     expected = {"a": model.config.d_a, "v": model.config.d_v,
                 "t": model.config.d_t}
@@ -245,21 +286,23 @@ def run_gradcheck(d_m: int, K: int, iterations: int, seed: int,
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config, args.set, args)
-    l_values = [int(x) for x in args.l_values.split(",") if x]
+    try:
+        l_values = [int(x) for x in args.l_values.split(",") if x]
+    except ValueError:
+        raise ConfigError(f"--l-values must be integers, got {args.l_values!r}") from None
     if not l_values:
         raise ConfigError("--l-values must list at least one recursion depth")
     targets = (("valence", "arousal") if args.target in (None, "both")
                else (args.target,))
+    spec = _window_spec(cfg)
+    tcfgs = [_train_config(cfg, iterations=l) for l in l_values]
+    records = _records_for(args, cfg)
+    assignment = _folds(cfg, [r.id for r in records])
     run_dir = new_run_dir(args.out)
     echo_config(run_dir, cfg)
-    spec = _window_spec(cfg)
-    records = _records_for(args, cfg)
-    assignment = dat.make_folds([r.id for r in records], cfg["n_folds"],
-                                cfg["seed"])
     val_ids = {sid for sid, f in assignment.items() if f == 0}
     rows = []
-    for l in l_values:
-        tcfg = TrainConfig(**{**cfg["train"], "iterations": l})
+    for l, tcfg in zip(l_values, tcfgs):
         fusion_cfg = _fusion_config(cfg, l)
         _, result, _ = train_fold(records, val_ids, fusion_cfg, spec, tcfg,
                                   targets=targets)
@@ -275,12 +318,13 @@ def cmd_ablate(args) -> int:
 
 def cmd_cv(args) -> int:
     cfg = load_config(args.config, args.set, args)
+    spec = _window_spec(cfg)
+    tcfg = _train_config(cfg)
+    records = _records_for(args, cfg)
+    _folds(cfg, [r.id for r in records])        # cross_validate splits the same way
+    fusion_cfg = _fusion_config(cfg, tcfg.iterations)
     run_dir = new_run_dir(args.out)
     echo_config(run_dir, cfg)
-    spec = _window_spec(cfg)
-    records = _records_for(args, cfg)
-    tcfg = TrainConfig(**cfg["train"])
-    fusion_cfg = _fusion_config(cfg, tcfg.iterations)
     targets = (("valence", "arousal") if args.target in (None, "both")
                else (args.target,))
     rows = cross_validate(records, cfg["n_folds"], fusion_cfg, spec, tcfg,
@@ -296,8 +340,7 @@ def cmd_cv(args) -> int:
 def _records_for(args, cfg):
     if getattr(args, "manifest", None):
         return [rec for _, rec in dat.load_manifest_records(args.manifest)]
-    syn = dat.SyntheticConfig(**cfg["synthetic"])
-    return dat.generate_synthetic(syn, cfg["seed"])
+    return dat.generate_synthetic(_synthetic_config(cfg), cfg["seed"])
 
 
 def _format_table(rows: list[dict], key: str, header: str) -> str:

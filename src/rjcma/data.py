@@ -59,7 +59,7 @@ class WindowSpec:
 
     def __post_init__(self):
         if not (1 <= self.stride <= self.K):
-            raise ValueError(f"require 1 <= stride <= K, got {self}")
+            raise ValueError(f"stride={self.stride} is outside [1, K={self.K}]")
 
 
 @dataclass
@@ -150,6 +150,14 @@ class SyntheticConfig:
     dropout_prob: float = 0.0
     invalid_label_prob: float = 0.0
     fps: float = 30.0
+
+    def __post_init__(self):
+        # each message starts with the offending field and its value
+        for name in ("n_sequences", "t_min", "d_a", "d_v", "d_t"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}={getattr(self, name)} is not positive")
+        if self.t_max < self.t_min:
+            raise ValueError(f"t_max={self.t_max} is below t_min={self.t_min}")
 
     def dim(self, m: str) -> int:
         return {"a": self.d_a, "v": self.d_v, "t": self.d_t}[m]
@@ -278,7 +286,23 @@ class _Reader:
         return struct.unpack("<d", self.take(8))[0]
 
     def f64_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
+        start = self.off
+        arr = np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise self.error(
+                f"{self.path}: non-finite value at byte {start + 8 * int(bad[0])}")
+        return arr
+
+    def text(self, what: str) -> str:
+        """Length-prefixed UTF-8 string at the cursor."""
+        n = self.u32()
+        start = self.off
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise self.error(
+                f"{self.path}: {what} is not UTF-8 at byte {start + e.start}") from None
 
 
 def write_features(path, rec: SequenceRecord) -> None:
@@ -307,7 +331,7 @@ def read_features(path) -> SequenceRecord:
     version = r.u32()
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte 4")
-    ident = r.take(r.u32()).decode("utf-8")
+    ident = r.text("sequence id")
     fps = r.f64()
     t = r.u64()
     if t == 0:
@@ -340,9 +364,27 @@ def write_manifest(path, entries: list[dict]) -> None:
 
 
 def read_manifest(path) -> list[dict]:
-    entries = json.loads(Path(path).read_text())
+    """The manifest's entries; each is an object with a string `path`."""
+    blob = Path(path).read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 at byte {e.start}") from None
+    try:
+        entries = json.loads(text)
+    except json.JSONDecodeError as e:
+        at = len(text[:e.pos].encode("utf-8"))
+        raise FormatError(f"{path}: not JSON at byte {at}: {e.msg}") from None
     if not isinstance(entries, list):
         raise FormatError(f"{path}: manifest must be a JSON list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: entry {i} is not an object")
+        if "path" not in entry:
+            raise FormatError(f"{path}: entry {i} lacks key 'path'")
+        if not isinstance(entry["path"], str):
+            raise FormatError(
+                f"{path}: entry {i} key 'path' is not a string: {entry['path']!r}")
     return entries
 
 
@@ -359,9 +401,9 @@ def load_manifest_records(manifest_path) -> list[tuple[dict, SequenceRecord]]:
 
 def make_folds(sequence_ids: list[str], n_folds: int, seed: int) -> dict[str, int]:
     """Sequence-level fold assignment; fold 0 is the canonical train/val split."""
-    if n_folds > len(sequence_ids):
+    if not 1 <= n_folds <= len(sequence_ids):
         raise ValueError(
-            f"{n_folds} folds for only {len(sequence_ids)} sequences")
+            f"n_folds={n_folds} is outside [1, {len(sequence_ids)} sequences]")
     rng = np.random.default_rng(seed)
     order = list(sequence_ids)
     rng.shuffle(order)

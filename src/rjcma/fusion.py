@@ -118,46 +118,92 @@ def joint_representation(xa: Tensor, xv: Tensor, xt: Tensor,
     return ad.add_col_bias(ad.matmul(fc_w, stacked), fc_b)
 
 
-def joint_cross_correlation(xm: Tensor, joint: Tensor, w_j: Tensor) -> Tensor:
-    """C_m = tanh(X_m^T (W_j J / sqrt(d))), as one graph node.
+# bytes of K x K blocks (C, and its gradient in the backward pass) that one
+# step of `attention_branch` works on: small enough to stay in a core's L2
+_BLOCK_BYTES = 1 << 20
 
-    Grouping W_j J first keeps the inner dimension of the K x K product at
-    d_m rather than d. The node keeps only C (K x K per window), and its
-    backward writes the derivative through tanh over C in place: every
-    consumer of C has run its backward by then, but the node's `.data` no
-    longer holds C after `backward`.
+
+def attention_branch(xm: Tensor, joint: Tensor, w_j: Tensor, w_c: Tensor,
+                     w_h: Tensor, keep: dict | None = None) -> Tensor:
+    """One modality's attended features relu((X W_c) C) W_h + X, where
+    C = tanh(X^T (W_j J / sqrt(d))), as one graph node.
+
+    The products with the shared K x K weights (`X W_c`, `H W_h`, their
+    weight gradients and the gradients through them) are one GEMM over the
+    stacked rows of the batch. The K x K work walks the batch in blocks of
+    windows whose C fits in `_BLOCK_BYTES` (one window at K=300, the whole
+    batch at K=64), so a block's C is written and used while it is still in
+    cache: C_b = tanh(X_b^T a_b) with a = W_j J / sqrt(d) (grouped so the
+    inner dimension is d_m), then P_b C_b with P = X W_c. A recorded node
+    keeps every window's C, and its backward writes the derivative through
+    tanh over it in place; otherwise every block reuses one buffer. If
+    `keep` is a dict, it receives copies of C ("corr") and of the attention
+    map H ("map").
     """
-    if xm.rows != w_j.rows or w_j.cols != joint.rows or xm.shape[:-2] != joint.shape[:-2]:
+    k = xm.cols
+    if (xm.rows != w_j.rows or w_j.cols != joint.rows
+            or xm.shape[:-2] + (k,) != joint.shape[:-2] + (joint.cols,)
+            or w_c.shape != (k, k) or w_h.shape != (k, k)):
         raise ad.DimensionError(
-            f"correlation shapes: X {xm.shape}, W_j {w_j.shape}, J {joint.shape}")
+            f"attention branch shapes: X {xm.shape}, J {joint.shape}, "
+            f"W_j {w_j.shape}, W_c {w_c.shape}, W_h {w_h.shape}")
     s = 1.0 / math.sqrt(joint.rows)
-    a = np.matmul(w_j.data, joint.data)
+    x = xm.data.reshape(-1, xm.rows, k)            # a 2-D input is a batch of one
+    jd = joint.data.reshape(-1, joint.rows, k)
+    n = len(x)
+    step = max(1, min(n, _BLOCK_BYTES // (8 * k * k)))
+    blocks = [slice(i, min(i + step, n)) for i in range(0, n, step)]
+    a = np.matmul(w_j.data, jd)
     a *= s
-    c = np.matmul(xm.data.swapaxes(-1, -2), a)
-    np.tanh(c, out=c)
-    parents = (xm, joint, w_j)
-    if not ad._recording(*parents):
-        return ad._value(c)
+    p = ad._mm(x, w_c.data)
+    parents = (xm, joint, w_j, w_c, w_h)
+    recording = ad._recording(*parents)
+    store = recording or keep is not None
+    c = np.empty((n if store else step, k, k))
+    q = np.empty_like(p)
+    for blk in blocks:
+        cb = c[blk] if store else c[:blk.stop - blk.start]
+        np.matmul(x[blk].swapaxes(-1, -2), a[blk], out=cb)
+        np.tanh(cb, out=cb)
+        np.matmul(p[blk], cb, out=q[blk])
+    h = np.where(q > 0.0, q, 0.0)
+    out = ad._mm(h, w_h.data)
+    out += x
+    out = out.reshape(xm.shape)
+    if keep is not None:
+        keep["corr"] = ad._value(c.reshape(*xm.shape[:-2], k, k).copy())
+        keep["map"] = ad._value(h.reshape(xm.shape).copy())
+    if not recording:
+        return ad._value(out)
 
     def bwd(g):
-        gp = np.multiply(c, c, out=c)
-        np.subtract(1.0, gp, out=gp)
-        gp *= g                                   # d loss / d (X^T A)
-        ga = np.matmul(xm.data, gp)
-        gx = np.matmul(a, gp.swapaxes(-1, -2))
-        ga *= s                                   # d loss / d (W_j J)
-        gw = ad._unbatch(np.matmul(ga, joint.data.swapaxes(-1, -2)), w_j.data)
-        return gx, np.matmul(w_j.data.T, ga), gw
+        g = g.reshape(x.shape)
+        gw_h = h.reshape(-1, k).T @ g.reshape(-1, k)
+        gq = ad._mm(g, w_h.data.T)
+        gq *= h > 0.0                                # relu, subgradient 0 at 0
+        gp = np.empty_like(gq)
+        ga = np.empty_like(a)
+        gx = np.empty_like(x)
+        gc_buf = np.empty((step, k, k))
+        for blk in blocks:
+            cb = c[blk]
+            gc = gc_buf[:blk.stop - blk.start]
+            np.matmul(gq[blk], cb.swapaxes(-1, -2), out=gp[blk])
+            np.matmul(p[blk].swapaxes(-1, -2), gq[blk], out=gc)   # d loss / d C
+            np.multiply(cb, cb, out=cb)
+            np.subtract(1.0, cb, out=cb)
+            gc *= cb                                 # d loss / d (X^T a)
+            np.matmul(x[blk], gc, out=ga[blk])
+            np.matmul(a[blk], gc.swapaxes(-1, -2), out=gx[blk])
+        gx += g
+        gx += ad._mm(gp, w_c.data.T)
+        gw_c = x.reshape(-1, k).T @ gp.reshape(-1, k)
+        ga *= s                                      # d loss / d (W_j J)
+        gw_j = np.matmul(ga, jd.swapaxes(-1, -2)).sum(axis=0)
+        gj = np.matmul(w_j.data.T, ga)
+        return gx.reshape(xm.shape), gj.reshape(joint.shape), gw_j, gw_c, gw_h
 
-    return ad._make(c, parents, bwd)
-
-
-def attention_map(xm: Tensor, corr: Tensor, w_c: Tensor) -> Tensor:
-    return ad.relu(ad.matmul(ad.matmul(xm, w_c), corr))
-
-
-def attend(h_m: Tensor, w_h: Tensor, xm: Tensor) -> Tensor:
-    return ad.add(ad.matmul(h_m, w_h), xm)
+    return ad._make(out, parents, bwd)
 
 
 def predict_head(x_att: Tensor, params: RjcmaParams) -> Tensor:
@@ -191,11 +237,12 @@ def rjcma_forward(xa: Tensor, xv: Tensor, xt: Tensor,
         step = {}
         nxt = {}
         for m in MODALITIES:
-            corr = joint_cross_correlation(feats[m], joint, params[f"iter{i}/W_j{m}"])
-            amap = attention_map(feats[m], corr, params[f"iter{i}/W_c{m}"])
-            nxt[m] = attend(amap, params[f"iter{i}/W_h{m}"], feats[m])
+            keep = {} if collect_intermediates else None
+            nxt[m] = attention_branch(feats[m], joint, params[f"iter{i}/W_j{m}"],
+                                      params[f"iter{i}/W_c{m}"],
+                                      params[f"iter{i}/W_h{m}"], keep)
             if collect_intermediates:
-                step[m] = {"corr": corr, "map": amap, "attended": nxt[m]}
+                step[m] = {**keep, "attended": nxt[m]}
         feats = nxt
         if collect_intermediates:
             intermediates.append(step)

@@ -40,10 +40,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each message starts with the offending field and its value
         if self.lr_min > self.lr_init:
-            raise ValueError("lr_min must not exceed lr_init")
+            raise ValueError(f"lr_min={self.lr_min} exceeds lr_init={self.lr_init}")
         if not (0.0 < self.plateau_factor < 1.0):
-            raise ValueError("plateau_factor must be in (0, 1)")
+            raise ValueError(f"plateau_factor={self.plateau_factor} is outside (0, 1)")
+        for name in ("batch_size", "iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}={getattr(self, name)} is not positive")
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +95,12 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState,
 
 class Scheduler:
     """Per-batch linear warm-up for the first epochs, then reduce-on-plateau
-    keyed on validation CCC, flooring at lr_min."""
+    keyed on whether the epoch improved the validation CCC, flooring at
+    lr_min."""
 
     def __init__(self, cfg: TrainConfig):
         self.cfg = cfg
         self.lr = cfg.lr_init
-        self.best = -math.inf
         self.since_improvement = 0
 
     def batch_lr(self, epoch: int, batch_idx: int, n_batches: int) -> float:
@@ -105,9 +109,8 @@ class Scheduler:
             return self.cfg.lr_min + (self.lr - self.cfg.lr_min) * frac
         return self.lr
 
-    def epoch_end(self, epoch: int, val_ccc: float) -> float:
-        if val_ccc > self.best:
-            self.best = val_ccc
+    def epoch_end(self, epoch: int, improved: bool) -> float:
+        if improved:
             self.since_improvement = 0
         else:
             self.since_improvement += 1
@@ -185,7 +188,8 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
             epoch_losses.append(value)
 
         val_ccc = _eval_target(model, val_windows)
-        if val_ccc > best_ccc:
+        improved = val_ccc > best_ccc
+        if improved:
             best_ccc = val_ccc
             best_state = model.state_arrays()
             stale = 0
@@ -193,7 +197,7 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
             stale += 1
         # paper's rule: reload the best state at the end of every epoch
         model.load_state_arrays(best_state)
-        lr = sched.epoch_end(epoch, val_ccc)
+        lr = sched.epoch_end(epoch, improved)
         history.append(EpochStats(epoch, float(np.mean(epoch_losses)), val_ccc, lr))
         logger.debug("epoch %d: loss %.4f val_ccc %.4f lr %.2e",
                      epoch, history[-1].train_loss, val_ccc, lr)

@@ -198,7 +198,7 @@ def test_recipe_fidelity(capsys):
     sched = tr.Scheduler(tr.TrainConfig(lr_init=1e-5, lr_min=1e-8,
                                         plateau_patience=5, plateau_factor=0.1,
                                         warmup_epochs=0))
-    trace = [sched.epoch_end(e, 0.2 if e == 0 else 0.1) for e in range(25)]
+    trace = [sched.epoch_end(e, e == 0) for e in range(25)]
     expected = [1e-5] * 5 + [1e-6] * 5 + [1e-7] * 5 + [1e-8] * 10
     ladder_ok = np.allclose(trace, expected, rtol=1e-12)
 

@@ -7,6 +7,7 @@ import pytest
 from rjcma import autodiff as ad
 from rjcma import checkpoint as ck
 from rjcma import cli
+from rjcma import data as dat
 from rjcma.fusion import FusionConfig
 from rjcma.model import RjcmaModel
 
@@ -190,6 +191,84 @@ class TestEvalBadCheckpointTensors:
                        "--out", str(tmp_path / "e")])
         assert rc == cli.EXIT_DATA
         assert f"{path}: {message}" in capsys.readouterr().err
+
+
+class TestConfigValues:
+    """Values the config dataclasses or the fold split reject exit 1 with
+    the key and the value named, not with a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--set", "window.stride=500"], "window.stride=500 is outside [1, K=20]"),
+        (["train", "--set", "train.lr_min=1.0"], "train.lr_min=1.0 exceeds lr_init=0.003"),
+        (["train", "--set", "window.K=abc"], "window.K must be int, got 'abc'"),
+        (["gen", "--set", "n_folds=5"], "n_folds=5 must be an integer in [1, 4 sequences]"),
+    ], ids=["stride-above-K", "lr-min-above-lr-init", "K-not-int", "folds-above-sequences"])
+    def test_exits_with_usage_error_naming_key(self, tmp_path, smoke_config, dataset,
+                                               capsys, argv, message):
+        rc = cli.main(argv + ["--config", smoke_config, "--out", str(tmp_path / "o")]
+                      + (["--manifest", str(dataset / "manifest.json")]
+                         if argv[0] == "train" else []))
+        assert rc == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_eval_default_stride_above_checkpoint_K(self, tmp_path, dataset, capsys):
+        path = tmp_path / "k16.bin"
+        RjcmaModel(FusionConfig(4, 4, 4, K=16), "valence", seed=0).save(path)
+        rc = cli.main(["eval", "--checkpoint", str(path),
+                       "--manifest", str(dataset / "manifest.json"),
+                       "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_USAGE
+        assert "window.stride=200 is outside [1, K=16]" in capsys.readouterr().err
+
+
+def _record(ident="s"):
+    rng = np.random.default_rng(0)
+    return dat.SequenceRecord(id=ident, features={m: rng.normal(size=(4, 30))
+                                                  for m in dat.MODALITIES},
+                              valence=np.zeros(30), arousal=np.zeros(30))
+
+
+def _mmf(path, ident="s", feature=None, flip=None):
+    """A valid MMF1 file; `feature` replaces the first audio value and
+    `flip=(offset, byte)` overwrites one byte."""
+    rec = _record(ident)
+    if feature is not None:
+        rec.features["a"][0, 0] = feature
+    dat.write_features(path, rec)
+    if flip is not None:
+        blob = bytearray(path.read_bytes())
+        blob[flip[0]] = flip[1]
+        path.write_bytes(bytes(blob))
+
+
+# magic, version and the id length take 12 bytes; fps, T, the modality
+# count and d_a take 28 more, so with a one-byte id the payload starts at 41
+@pytest.mark.parametrize("manifest, mmf, message", [
+    ('[{"path": "s.mmf",', None, "manifest.json: not JSON at byte 18"),
+    ('[["s.mmf"]]', None, "manifest.json: entry 0 is not an object"),
+    ('[{"id": "s", "split": "val"}]', None, "manifest.json: entry 0 lacks key 'path'"),
+    ('[{"path": 3, "split": "val"}]', None,
+     "manifest.json: entry 0 key 'path' is not a string: 3"),
+    (None, {"flip": (12, 0xFF)}, "s.mmf: sequence id is not UTF-8 at byte 12"),
+    (None, {"feature": float("nan")}, "s.mmf: non-finite value at byte 41"),
+    (None, {"feature": float("-inf")}, "s.mmf: non-finite value at byte 41"),
+], ids=["not-json", "entry-not-object", "entry-lacks-path", "path-not-string",
+        "id-not-utf8", "nan-payload", "inf-payload"])
+def test_eval_bad_manifest_or_features_exit_with_data_error(
+        tmp_path, capsys, manifest, mmf, message):
+    ckpt_path = tmp_path / "model.bin"
+    RjcmaModel(FusionConfig(4, 4, 4, K=20), "valence", seed=0).save(ckpt_path)
+    data = tmp_path / "data"
+    data.mkdir()
+    _mmf(data / "s.mmf", **(mmf or {}))
+    (data / "manifest.json").write_text(
+        manifest or json.dumps([{"id": "s", "path": "s.mmf", "split": "val"}]))
+    rc = cli.main(["eval", "--set", "window.stride=15", "--checkpoint", str(ckpt_path),
+                   "--manifest", str(data / "manifest.json"),
+                   "--out", str(tmp_path / "e")])
+    assert rc == cli.EXIT_DATA
+    assert f"{data}/{message}" in capsys.readouterr().err
 
 
 class TestGradcheck:

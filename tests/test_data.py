@@ -2,7 +2,9 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rjcma import checkpoint as ck
 from rjcma import data as dat
 from rjcma.metrics import ccc
 
@@ -209,6 +211,42 @@ class TestFeatureFiles:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(dat.FormatError, match="trailing"):
             dat.read_features(path)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A small valid MMF1 file and RJCM checkpoint, with their readers and
+    the one error class each may raise."""
+    root = tmp_path_factory.mktemp("valid")
+    rec = make_record(6, d=2, seed=3)
+    rec.id = "séquence-0001"      # long enough for flips to land in it often
+    rec.valence[1] = dat.INVALID_LABEL
+    dat.write_features(root / "seq.mmf", rec)
+    ck.write_checkpoint(root / "model.bin", {"K": 3, "target": "valence"},
+                        {"a/w": np.arange(6.0).reshape(2, 3), "b": np.ones((1, 1))})
+    return {"mmf": (root / "seq.mmf", dat.read_features, dat.FormatError),
+            "rjcm": (root / "model.bin", ck.read_checkpoint, ck.CheckpointError)}
+
+
+class TestReaderFuzz:
+    @pytest.mark.parametrize("kind", ["mmf", "rjcm"])
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_truncated_or_flipped_file_reads_or_raises_format_error(
+            self, valid_files, kind, data):
+        path, read, error = valid_files[kind]
+        blob = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+        bad = path.with_name("fuzzed-" + path.name)
+        bad.write_bytes(bytes(blob))
+        try:
+            read(bad)
+        except error:
+            pass
 
 
 class TestFolds:

@@ -111,29 +111,80 @@ class TestJointRepresentation:
                                     Tensor(np.eye(6)), Tensor(np.zeros((6, 1))))
 
 
-class TestJointCrossCorrelation:
-    def test_zero_weight_gives_zero(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 3)))
-        joint = Tensor(np.random.default_rng(1).normal(size=(6, 3)))
-        corr = fu.joint_cross_correlation(x, joint, Tensor(np.zeros((2, 6))))
-        np.testing.assert_array_equal(corr.data, np.zeros((3, 3)))
+def branch(xm, joint, w_j, w_c, w_h):
+    """attention_branch on plain arrays: (output, C, H) as arrays."""
+    keep = {}
+    out = fu.attention_branch(Tensor(xm), Tensor(joint), Tensor(w_j),
+                              Tensor(w_c), Tensor(w_h), keep)
+    return out.data, keep["corr"].data, keep["map"].data
 
-    def test_all_ones_hand_case(self):
-        # d_m=1, d=3, K=2, everything ones: each entry tanh(3/sqrt(3)) = tanh(sqrt(3))
-        corr = fu.joint_cross_correlation(Tensor(np.ones((1, 2))),
-                                          Tensor(np.ones((3, 2))),
-                                          Tensor(np.ones((1, 3))))
-        expected = math.tanh(math.sqrt(3.0))
-        assert expected == pytest.approx(0.9393, abs=1e-4)
-        np.testing.assert_allclose(corr.data, np.full((2, 2), expected))
 
-    def test_entries_strictly_inside_unit_interval(self):
-        rng = np.random.default_rng(2)
-        corr = fu.joint_cross_correlation(Tensor(rng.normal(size=(3, 5))),
-                                          Tensor(rng.normal(size=(9, 5))),
-                                          Tensor(rng.normal(size=(3, 9))))
-        assert np.all(np.abs(corr.data) < 1.0)
-        assert corr.shape == (5, 5)
+def random_branch_inputs(rng, dm=3, d=9, k=5):
+    return (rng.normal(size=(dm, k)), rng.normal(size=(d, k)),
+            rng.normal(size=(dm, d)), rng.normal(size=(k, k)),
+            rng.normal(size=(k, k)))
+
+
+class TestAttentionBranch:
+    def test_matches_numpy_reference(self):
+        # relu((X W_c) tanh(X^T W_j J / sqrt(d))) W_h + X, per window of a batch
+        rng = np.random.default_rng(3)
+        xs = rng.normal(size=(3, 4, 6))
+        js = rng.normal(size=(3, 12, 6))
+        w_j, w_c, w_h = (rng.normal(size=s) for s in ((4, 12), (6, 6), (6, 6)))
+        keep = {}
+        out = fu.attention_branch(Tensor.stack(xs), Tensor.stack(js), Tensor(w_j),
+                                  Tensor(w_c), Tensor(w_h), keep)
+        assert out.shape == keep["map"].shape == (3, 4, 6)
+        assert keep["corr"].shape == (3, 6, 6)
+        for b in range(3):
+            corr = np.tanh(xs[b].T @ (w_j @ js[b]) / math.sqrt(12))
+            amap = np.maximum((xs[b] @ w_c) @ corr, 0.0)
+            np.testing.assert_allclose(keep["corr"].data[b], corr, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(keep["map"].data[b], amap, rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(out.data[b], amap @ w_h + xs[b],
+                                       rtol=1e-13, atol=1e-14)
+
+    def test_no_grad_matches_recorded_forward(self):
+        rng = np.random.default_rng(5)
+        args = [Tensor(a, requires_grad=True) for a in random_branch_inputs(rng)]
+        recorded = fu.attention_branch(*args)
+        with ad.no_grad():
+            keep = {}
+            plain = fu.attention_branch(*args, keep)
+        assert recorded._backward_fn is not None and plain._backward_fn is None
+        np.testing.assert_array_equal(plain.data, recorded.data)
+        assert keep["corr"].shape == (5, 5)
+
+    @pytest.mark.parametrize("windows_per_block", [1, 2])
+    def test_blocking_leaves_value_and_gradients_unchanged(self, monkeypatch,
+                                                          windows_per_block):
+        # 3 windows in blocks of 1, or of 2 with a short last block, against
+        # the whole batch in one block
+        rng = np.random.default_rng(6)
+        arrays = [rng.normal(size=(3, 3, 5)), rng.normal(size=(3, 9, 5)),
+                  rng.normal(size=(3, 9)), rng.normal(size=(5, 5)), rng.normal(size=(5, 5))]
+
+        def run():
+            leaves = [Tensor.stack(a) if a.ndim == 3 else Tensor(a) for a in arrays]
+            for t in leaves:
+                t.requires_grad = True
+            keep = {}
+            out = fu.attention_branch(*leaves, keep)
+            ad.backward(ad.tensor_sum(ad.mul(out, Tensor.stack(np.cos(arrays[0])))))
+            return [out.data, keep["corr"].data] + [t.grad for t in leaves]
+
+        whole = run()
+        monkeypatch.setattr(fu, "_BLOCK_BYTES", windows_per_block * 8 * 5 * 5)
+        for got, want in zip(run(), whole):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+    def test_shape_mismatch(self):
+        x, joint, w_j, w_c, w_h = random_branch_inputs(np.random.default_rng(0))
+        with pytest.raises(ad.DimensionError):
+            branch(x, joint, w_j, w_c[:, :4], w_h)
+        with pytest.raises(ad.DimensionError):
+            branch(x, joint[:, :4], w_j, w_c, w_h)
 
     @pytest.mark.parametrize("batch", [(), (2,)], ids=["window", "batch"])
     def test_gradient_matches_finite_differences(self, batch):
@@ -145,52 +196,84 @@ class TestJointCrossCorrelation:
             t.requires_grad = True
             return t
 
-        x, joint, w = leaf(*batch, 3, 5), leaf(*batch, 9, 5), leaf(3, 9)
-        probe = Tensor.stack(rng.normal(size=(2, 5, 5))) if batch else \
-            Tensor(rng.normal(size=(5, 5)))
+        x, joint = leaf(*batch, 3, 5), leaf(*batch, 9, 5)
+        w_j, w_c, w_h = leaf(3, 9), leaf(5, 5), leaf(5, 5)
+        probe = Tensor.stack(rng.normal(size=(2, 3, 5))) if batch else \
+            Tensor(rng.normal(size=(3, 5)))
         report = ad.grad_check(
-            lambda: ad.tensor_sum(ad.mul(fu.joint_cross_correlation(x, joint, w), probe)),
-            {"x": x, "joint": joint, "w_j": w}, h=1e-6, tol=1e-6)
+            lambda: ad.tensor_sum(ad.mul(fu.attention_branch(x, joint, w_j, w_c, w_h),
+                                         probe)),
+            {"x": x, "joint": joint, "w_j": w_j, "w_c": w_c, "w_h": w_h},
+            h=1e-5, tol=1e-5)
         assert report.passed, report.errors
+
+
+class TestJointCrossCorrelation:
+    def test_zero_weight_gives_zero(self):
+        # zero W_j: C = 0, so the map is 0 and the branch is the identity
+        x, joint, _, w_c, w_h = random_branch_inputs(np.random.default_rng(0))
+        out, corr, amap = branch(x, joint, np.zeros((3, 9)), w_c, w_h)
+        np.testing.assert_array_equal(corr, np.zeros((5, 5)))
+        np.testing.assert_array_equal(amap, np.zeros((3, 5)))
+        np.testing.assert_array_equal(out, x)
+
+    def test_all_ones_hand_case(self):
+        # d_m=1, d=3, K=2, everything ones: each entry of C is
+        # tanh(3/sqrt(3)) = tanh(sqrt(3)); X W_c = [2, 2], so H = 4 tanh(sqrt(3))
+        # and the output is 1 + 8 tanh(sqrt(3))
+        out, corr, amap = branch(np.ones((1, 2)), np.ones((3, 2)), np.ones((1, 3)),
+                                 np.ones((2, 2)), np.ones((2, 2)))
+        expected = math.tanh(math.sqrt(3.0))
+        assert expected == pytest.approx(0.9393, abs=1e-4)
+        np.testing.assert_allclose(corr, np.full((2, 2), expected))
+        np.testing.assert_allclose(amap, np.full((1, 2), 4 * expected))
+        np.testing.assert_allclose(out, np.full((1, 2), 1 + 8 * expected))
+
+    def test_entries_strictly_inside_unit_interval(self):
+        _, corr, _ = branch(*random_branch_inputs(np.random.default_rng(2)))
+        assert np.all(np.abs(corr) < 1.0)
+        assert corr.shape == (5, 5)
 
 
 class TestAttentionMap:
     def test_zero_weight(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 4)))
-        out = fu.attention_map(x, Tensor(np.eye(4)), Tensor(np.zeros((4, 4))))
-        np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
+        x, joint, w_j, _, w_h = random_branch_inputs(np.random.default_rng(0))
+        out, _, amap = branch(x, joint, w_j, np.zeros((5, 5)), w_h)
+        np.testing.assert_array_equal(amap, np.zeros((3, 5)))
+        np.testing.assert_array_equal(out, x)
 
     def test_nonnegative(self):
-        rng = np.random.default_rng(1)
-        out = fu.attention_map(Tensor(rng.normal(size=(2, 4))),
-                               Tensor(rng.normal(size=(4, 4))),
-                               Tensor(rng.normal(size=(4, 4))))
-        assert np.all(out.data >= 0.0)
+        _, _, amap = branch(*random_branch_inputs(np.random.default_rng(1)))
+        assert np.all(amap >= 0.0)
+        assert np.any(amap > 0.0)
 
     def test_identity_weights_give_relu(self):
-        x = Tensor(np.random.default_rng(2).normal(size=(3, 4)))
-        out = fu.attention_map(x, Tensor(np.eye(4)), Tensor(np.eye(4)))
-        np.testing.assert_array_equal(out.data, np.maximum(x.data, 0.0))
+        # W_c = I: the map is relu(X C)
+        x, joint, w_j, _, w_h = random_branch_inputs(np.random.default_rng(2))
+        _, corr, amap = branch(x, joint, w_j, np.eye(5), w_h)
+        np.testing.assert_array_equal(amap, np.maximum(x @ corr, 0.0))
 
 
 class TestAttend:
     def test_zero_map_residual_identity(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 3)))
-        out = fu.attend(Tensor(np.zeros((2, 3))), Tensor(np.ones((3, 3))), x)
-        np.testing.assert_array_equal(out.data, x.data)
+        # positive X, J and W_j make C positive, and W_c = -1 makes X W_c
+        # negative, so X W_c C <= 0: the map is zero and X passes unchanged
+        x, joint, w_j, _, w_h = map(np.abs, random_branch_inputs(np.random.default_rng(0)))
+        out, _, amap = branch(x, joint, w_j, -np.ones((5, 5)), w_h)
+        np.testing.assert_array_equal(amap, np.zeros((3, 5)))
+        np.testing.assert_array_equal(out, x)
 
     def test_zero_weight_residual_identity(self):
-        rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=(2, 3)))
-        out = fu.attend(Tensor(rng.normal(size=(2, 3))), Tensor(np.zeros((3, 3))), x)
-        np.testing.assert_array_equal(out.data, x.data)
+        x, joint, w_j, w_c, _ = random_branch_inputs(np.random.default_rng(1))
+        out, _, amap = branch(x, joint, w_j, w_c, np.zeros((5, 5)))
+        assert np.any(amap > 0.0)
+        np.testing.assert_array_equal(out, x)
 
     def test_hand_2x2(self):
-        h = np.array([[1.0, 2.0], [0.0, 1.0]])
-        w = np.array([[1.0, 0.0], [1.0, 1.0]])
         x = np.array([[0.5, 0.5], [1.0, -1.0]])
-        out = fu.attend(Tensor(h), Tensor(w), Tensor(x))
-        np.testing.assert_array_equal(out.data, h @ w + x)
+        w = np.array([[1.0, 0.0], [1.0, 1.0]])
+        out, _, amap = branch(x, np.ones((4, 2)), np.ones((2, 4)), np.eye(2), w)
+        np.testing.assert_array_equal(out, amap @ w + x)
 
 
 class TestRjcmaForward:
@@ -271,10 +354,12 @@ class TestRjcmaForward:
         w = rng.normal(size=(3, 9))
         perm = rng.permutation(5)
         p = np.eye(5)[:, perm]
-        base = fu.joint_cross_correlation(Tensor(x), Tensor(joint), Tensor(w)).data
-        permuted = fu.joint_cross_correlation(Tensor(x @ p), Tensor(joint @ p),
-                                              Tensor(w)).data
+        w_c, w_h = rng.normal(size=(5, 5)), rng.normal(size=(5, 5))
+        out, base, _ = branch(x, joint, w, w_c, w_h)
+        # conjugating W_c and W_h too permutes the branch's output columns
+        out_p, permuted, _ = branch(x @ p, joint @ p, w, p.T @ w_c @ p, p.T @ w_h @ p)
         np.testing.assert_allclose(permuted, p.T @ base @ p, atol=1e-12)
+        np.testing.assert_allclose(out_p, out @ p, atol=1e-12)
 
     def test_shape_mismatch_propagates(self):
         cfg = fu.FusionConfig(3, 3, 3, K=4)

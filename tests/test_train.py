@@ -107,27 +107,27 @@ class TestScheduler:
 
     def test_plateau_drop_after_patience(self):
         sched = tr.Scheduler(self.cfg())
-        sched.epoch_end(0, 0.5)
+        sched.epoch_end(0, True)
         for e in range(1, 5):
-            assert sched.epoch_end(e, 0.4) == pytest.approx(1e-5)
-        assert sched.epoch_end(5, 0.4) == pytest.approx(1e-6)
+            assert sched.epoch_end(e, False) == pytest.approx(1e-5)
+        assert sched.epoch_end(5, False) == pytest.approx(1e-6)
 
     def test_improvement_prevents_drop(self):
         sched = tr.Scheduler(self.cfg())
         for e in range(30):
-            lr = sched.epoch_end(e, 0.1 + e * 0.01)
+            lr = sched.epoch_end(e, True)
         assert lr == pytest.approx(1e-5)
 
     def test_floor_at_lr_min(self):
         sched = tr.Scheduler(self.cfg())
         for e in range(100):
-            lr = sched.epoch_end(e, 0.0 if e else 0.5)
+            lr = sched.epoch_end(e, e == 0)
         assert lr == pytest.approx(1e-8)
 
     def test_scripted_trace_full_ladder(self):
         # constant val CCC: one drop per `patience` epochs, 1e-5 -> ... -> 1e-8
         sched = tr.Scheduler(self.cfg())
-        trace = [sched.epoch_end(e, 0.2 if e == 0 else 0.1) for e in range(25)]
+        trace = [sched.epoch_end(e, e == 0) for e in range(25)]
         expected = ([1e-5] * 5 + [1e-6] * 5 + [1e-7] * 5 + [1e-8] * 10)
         np.testing.assert_allclose(trace, expected, rtol=1e-12)
 
@@ -148,7 +148,7 @@ class TestScheduler:
         rng = np.random.default_rng(0)
         prev = sched.lr
         for e in range(50):
-            lr = sched.epoch_end(e, rng.normal())
+            lr = sched.epoch_end(e, bool(rng.random() < 0.3))
             assert lr <= prev + 1e-18
             prev = lr
 
