@@ -108,8 +108,10 @@ def no_grad():
 
 
 def _recording(*parents: Tensor) -> bool:
-    """Whether an op on `parents` must build a graph node."""
-    return _RECORDING.get() and any(t.requires_grad or t._parents for t in parents)
+    """Whether an op on `parents` must build a graph node. A node of a
+    consumed graph counts, so that `backward` reaches it and raises."""
+    return _RECORDING.get() and any(t.requires_grad or t._parents or t._consumed
+                                    for t in parents)
 
 
 def _value(data: np.ndarray) -> Tensor:
@@ -251,14 +253,16 @@ def tensor_sum(a: Tensor) -> Tensor:
 def backward(loss: Tensor, leaves: Iterable[Tensor] | None = None) -> None:
     """Reverse sweep from a scalar loss, populating `.grad` on leaf tensors.
 
-    The graph is consumed: a second backward through the same loss raises.
+    The graph is consumed: once the sweep ends, every interior node drops
+    its backward closure (and the arrays it saved) and its parent links,
+    so the graph is freed even while the caller still holds `loss`. A
+    later backward that reaches a consumed node raises GraphError.
     If `leaves` is given, any leaf unreached by the sweep gets a zero grad.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss._consumed:
         raise GraphError("backward already called on this graph")
-    loss._consumed = True
 
     # iterative topological order (post-order DFS)
     order: list[Tensor] = []
@@ -271,6 +275,9 @@ def backward(loss: Tensor, leaves: Iterable[Tensor] | None = None) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._consumed:
+            raise GraphError("backward reaches a node of a graph that an "
+                             "earlier backward consumed")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -278,20 +285,29 @@ def backward(loss: Tensor, leaves: Iterable[Tensor] | None = None) -> None:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward_fn is None:
-            if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
-            continue
-        parent_grads = node._backward_fn(g)
-        for p, pg in zip(node._parents, parent_grads):
-            if pg is None or not (p.requires_grad or p._parents):
+    try:
+        for node in reversed(order):
+            g = grads.pop(id(node), None)
+            if g is None:
                 continue
-            acc = grads.get(id(p))
-            grads[id(p)] = pg if acc is None else acc + pg
+            if node._backward_fn is None:
+                if node.requires_grad:
+                    node.grad = g if node.grad is None else node.grad + g
+                continue
+            parent_grads = node._backward_fn(g)
+            for p, pg in zip(node._parents, parent_grads):
+                if pg is None or not (p.requires_grad or p._parents):
+                    continue
+                acc = grads.get(id(p))
+                grads[id(p)] = pg if acc is None else acc + pg
+    finally:
+        # release at the end, not node by node: freeing each node's arrays
+        # as the sweep passes it measured more page faults per step
+        for node in order:
+            if node._backward_fn is not None:
+                node._backward_fn = None
+                node._parents = ()
+                node._consumed = True
 
     if leaves is not None:
         for leaf in leaves:

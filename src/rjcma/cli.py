@@ -4,7 +4,8 @@ Every command is driven by a JSON config (unknown keys rejected, every field
 overridable via --set section.key=value) and a seed, and echoes the effective
 config into its run directory so runs are reproducible artifacts.
 
-Exit codes: 0 success, 1 usage/config, 2 data/format, 3 numerical failure.
+Exit codes: 0 success, 1 usage/config, 2 data/format, 3 numerical failure,
+4 internal error (an uncaught exception, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import argparse
 import copy
 import json
 import sys
-import time
-from dataclasses import asdict, fields
+import traceback
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,31 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass
+class GradcheckConfig:
+    # seed picked so no ReLU pre-activation sits within h of its kink
+    # and no gradient is below the f64 finite-difference noise floor
+    d_m: int = 8
+    K: int = 16
+    iterations: int = 3
+    h: float = 1e-5
+    tol: float = 1e-4
+    seed: int = 2
+
+    def __post_init__(self):
+        # each message starts with the offending field and its value
+        for name in ("d_m", "K", "iterations", "h", "tol"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}={getattr(self, name)} is not positive")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} is negative")
 
 
 def default_config() -> dict:
@@ -44,10 +66,7 @@ def default_config() -> dict:
         "synthetic": asdict(dat.SyntheticConfig()),
         "window": {"K": 300, "stride": 200},
         "train": asdict(TrainConfig()),
-        # seed picked so no ReLU pre-activation sits within h of its kink
-        # and no gradient is below the f64 finite-difference noise floor
-        "gradcheck": {"d_m": 8, "K": 16, "iterations": 3,
-                      "h": 1e-5, "tol": 1e-4, "seed": 2},
+        "gradcheck": asdict(GradcheckConfig()),
     }
 
 
@@ -253,9 +272,9 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config, args.set, args)
-    g = cfg["gradcheck"]
-    report = run_gradcheck(d_m=g["d_m"], K=g["K"], iterations=g["iterations"],
-                           seed=g["seed"], h=g["h"], tol=g["tol"])
+    g = _build(GradcheckConfig, "gradcheck", cfg["gradcheck"])
+    report = run_gradcheck(d_m=g.d_m, K=g.K, iterations=g.iterations,
+                           seed=g.seed, h=g.h, tol=g.tol)
     print("\n".join(report.lines()))
     print(f"max relative error {report.max_error:.3e} "
           f"({'PASS' if report.passed else 'FAIL'} at tol {report.tol:g})")
@@ -432,6 +451,10 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

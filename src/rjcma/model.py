@@ -46,10 +46,19 @@ class RjcmaModel:
             params.update(self.tcn[m].named(prefix=f"tcn/{m}"))
         return params
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.parameters().items()}
+    def state_arrays(self, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+        """A copy of every parameter array; with `out` (an earlier result),
+        the copy is written into its arrays."""
+        if out is None:
+            return {name: p.data.copy() for name, p in self.parameters().items()}
+        for name, p in self.parameters().items():
+            np.copyto(out[name], p.data)
+        return out
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
+        """Copy `state` into the parameters' own arrays. Every name and
+        shape is checked before anything is copied, so a state that does
+        not fit leaves the model untouched."""
         params = self.parameters()
         if set(state) != set(params):
             missing = set(params) ^ set(state)
@@ -58,7 +67,8 @@ class RjcmaModel:
             if params[name].data.shape != arr.shape:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape}, "
                                  f"expected {params[name].data.shape}")
-            params[name].data = arr.copy()
+        for name, arr in state.items():
+            np.copyto(params[name].data, arr)
 
     # -- forward ------------------------------------------------------------
 

@@ -64,14 +64,26 @@ class OptimizerState:
     v: dict = field(default_factory=dict)
 
 
+# elements per block of `adam_step`: a block of each of m, v, g and the
+# weights, plus the two scratch blocks, stays in a core's L2
+_ADAM_BLOCK = 1 << 14
+
+
 def adam_step(params: dict[str, Tensor], state: OptimizerState,
               lr: float, weight_decay: float = 0.0) -> None:
     """Bias-corrected Adam update with decoupled weight decay (applied to the
     weights directly, not folded into the gradient). The moments and the
-    weights are updated in place."""
+    weights are updated in place, a block of rows at a time through two
+    scratch blocks, in the operation order of the out-of-place formula
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps), so the result is the same
+    bit for bit."""
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    decay = 1.0 - lr * weight_decay
+    # a block is at least one row, so a row wider than _ADAM_BLOCK widens it
+    scratch = np.empty((2, max([_ADAM_BLOCK] + [p.data.shape[-1] for p in params.values()])))
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if g.shape != p.data.shape:
@@ -79,14 +91,30 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState,
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        m, v = state.m[name], state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        if weight_decay:
-            p.data *= 1.0 - lr * weight_decay
-        p.data -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + state.eps)
+        m, v, w = state.m[name], state.v[name], p.data
+        rows, cols = w.shape
+        step = max(1, _ADAM_BLOCK // cols)
+        for r0 in range(0, rows, step):
+            r = slice(r0, min(r0 + step, rows))
+            mb, vb, gb, wb = m[r], v[r], g[r], w[r]
+            s = scratch[0, :gb.size].reshape(gb.shape)
+            u = scratch[1, :gb.size].reshape(gb.shape)
+            mb *= b1
+            np.multiply(gb, 1.0 - b1, out=s)
+            mb += s                                  # m += (1 - b1) * g
+            vb *= b2
+            np.multiply(gb, 1.0 - b2, out=s)
+            s *= gb
+            vb += s                                  # v += (1 - b2) * g * g
+            if weight_decay:
+                wb *= decay
+            np.divide(mb, c1, out=s)
+            s *= lr
+            np.divide(vb, c2, out=u)
+            np.sqrt(u, out=u)
+            u += state.eps
+            s /= u
+            wb -= s
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +219,7 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
         improved = val_ccc > best_ccc
         if improved:
             best_ccc = val_ccc
-            best_state = model.state_arrays()
+            model.state_arrays(out=best_state)
             stale = 0
         else:
             stale += 1

@@ -181,6 +181,28 @@ class TestBackwardContract:
         with pytest.raises(ad.GraphError):
             ad.backward(loss)
 
+    def test_backward_releases_the_graph_but_not_the_leaves(self):
+        x = Tensor([[0.5, -1.0]], requires_grad=True)
+        hidden = ad.tanh(x)
+        ad.backward(ad.tensor_sum(hidden), leaves=[x])
+        assert hidden._parents == () and hidden._backward_fn is None
+        first = x.grad
+        x.grad = None
+        ad.backward(ad.tensor_sum(ad.tanh(x)), leaves=[x])
+        np.testing.assert_array_equal(x.grad, first)
+
+    def test_loss_on_a_consumed_intermediate_errors(self):
+        # a second loss built on a node of a consumed graph cannot reach
+        # the leaves through it: backward raises instead of treating the
+        # node as a constant
+        x = Tensor([[0.5, -1.0]], requires_grad=True)
+        hidden = ad.tanh(x)
+        ad.backward(ad.tensor_sum(hidden))
+        with pytest.raises(ad.GraphError, match="consumed"):
+            ad.backward(ad.tensor_sum(ad.mul(hidden, hidden)))
+        with pytest.raises(ad.GraphError, match="consumed"):
+            ad.backward(ad.tensor_sum(ad.mul(hidden, x)))
+
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ad.GraphError):

@@ -304,6 +304,27 @@ class TestGradcheck:
                             lambda **kw: ad.GradCheckReport({"w": 1.0}, 1e-4))
         assert cli.main(["gradcheck"]) == cli.EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("setting, message", [
+        ("gradcheck.K=abc", "gradcheck.K must be int, got 'abc'"),
+        ("gradcheck.iterations=0", "gradcheck.iterations=0 is not positive"),
+    ], ids=["K-not-int", "zero-iterations"])
+    def test_bad_section_value_exits_with_usage_error(self, capsys, setting, message):
+        assert cli.main(["gradcheck", "--set", setting]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
+def test_uncaught_exception_exits_with_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", broken)
+    assert cli.main(["gradcheck"]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert "internal error: RuntimeError: boom" in err
+    assert "Traceback" in err
+
 
 class TestAblateAndCv:
     def test_ablate_table(self, tmp_path, smoke_config, dataset, capsys):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -178,6 +179,26 @@ class TestAttentionBranch:
         monkeypatch.setattr(fu, "_BLOCK_BYTES", windows_per_block * 8 * 5 * 5)
         for got, want in zip(run(), whole):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+    def test_backward_frees_the_saved_correlation(self):
+        # the K x K blocks C live in the node's backward closure; once
+        # backward consumed the graph they are gone, although the caller
+        # still holds the loss and the node's output
+        rng = np.random.default_rng(7)
+        arrays = [rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 9, 5)),
+                  rng.normal(size=(3, 9)), rng.normal(size=(5, 5)), rng.normal(size=(5, 5))]
+        leaves = [Tensor.stack(a) if a.ndim == 3 else Tensor(a, requires_grad=True)
+                  for a in arrays]
+        out = fu.attention_branch(*leaves)
+        saved = [weakref.ref(cell.cell_contents) for cell in out._backward_fn.__closure__
+                 if isinstance(cell.cell_contents, np.ndarray)
+                 and cell.cell_contents.shape[1:] == (5, 5)]
+        assert saved
+        loss = ad.tensor_sum(ad.mul(out, Tensor.stack(np.cos(arrays[0]))))
+        ad.backward(loss)
+        assert all(ref() is None for ref in saved)
+        assert out._backward_fn is None and out._parents == ()
+        assert loss.item() == pytest.approx(float((out.data * np.cos(arrays[0])).sum()))
 
     def test_shape_mismatch(self):
         x, joint, w_j, w_c, w_h = random_branch_inputs(np.random.default_rng(0))

@@ -92,6 +92,45 @@ class TestModelPersistence:
         with pytest.raises(ValueError, match="state mismatch"):
             model.load_state_arrays(state)
 
+    def test_load_keeps_each_parameter_array(self):
+        model = RjcmaModel(FusionConfig(3, 3, 3, K=8), "valence", seed=0)
+        other = RjcmaModel(FusionConfig(3, 3, 3, K=8), "valence", seed=1)
+        arrays = {name: p.data for name, p in model.parameters().items()}
+        state = other.state_arrays()
+        model.load_state_arrays(state)
+        for name, p in model.parameters().items():
+            assert p.data is arrays[name]
+            np.testing.assert_array_equal(p.data, state[name])
+            assert not np.shares_memory(p.data, state[name])
+
+    def test_state_arrays_into_an_earlier_copy(self):
+        model = RjcmaModel(FusionConfig(3, 3, 3, K=8), "valence", seed=0)
+        snapshot = model.state_arrays()
+        arrays = dict(snapshot)
+        for p in model.parameters().values():
+            p.data += 1.0
+        assert model.state_arrays(out=snapshot) is snapshot
+        for name, p in model.parameters().items():
+            assert snapshot[name] is arrays[name]
+            np.testing.assert_array_equal(snapshot[name], p.data)
+
+    @pytest.mark.parametrize("bad", ["shape", "name"])
+    def test_bad_state_leaves_model_untouched(self, bad):
+        # every name and shape is checked before the first copy, so the
+        # entries ahead of the bad one are not loaded either
+        model = RjcmaModel(FusionConfig(3, 3, 3, K=8), "valence", seed=0)
+        before = model.state_arrays()
+        state = RjcmaModel(FusionConfig(3, 3, 3, K=8), "valence", seed=1).state_arrays()
+        last = list(state)[-1]
+        if bad == "shape":
+            state[last] = np.zeros((2, 2))
+        else:
+            state["extra"] = state.pop(last)
+        with pytest.raises(ValueError, match=last):
+            model.load_state_arrays(state)
+        for name, p in model.parameters().items():
+            np.testing.assert_array_equal(p.data, before[name])
+
     def test_wrong_target_request_rejected(self):
         model = RjcmaModel(FusionConfig(3, 3, 3, K=8), "valence", seed=0)
         with pytest.raises(ValueError):

@@ -91,6 +91,28 @@ class TestAdam:
             assert np.array_equal(state.v["p"], v)
         assert p.data is data
 
+    def test_blocks_match_one_block_per_array(self, monkeypatch):
+        # 4-element blocks: rows wider than a block, and several rows per
+        # block with a short last block, against whole arrays in one block
+        rng = np.random.default_rng(3)
+        shapes = {"wide": (3, 10), "tall": (7, 2)}
+        init = {n: rng.normal(size=s) for n, s in shapes.items()}
+        grads = [{n: rng.normal(size=s) for n, s in shapes.items()} for _ in range(5)]
+
+        def run():
+            params = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
+            state = tr.OptimizerState()
+            for g in grads:
+                for n, p in params.items():
+                    p.grad = g[n]
+                tr.adam_step(params, state, lr=0.05, weight_decay=1e-2)
+            return {n: p.data for n, p in params.items()}
+
+        whole = run()
+        monkeypatch.setattr(tr, "_ADAM_BLOCK", 4)
+        for n, got in run().items():
+            assert np.array_equal(got, whole[n])
+
     def test_shape_mismatch(self):
         p = Tensor(np.ones((2, 2)), requires_grad=True)
         p.grad = np.ones((2, 3))
