@@ -24,9 +24,9 @@ from . import checkpoint as ckpt
 from . import data as dat
 from .autodiff import grad_check
 from .fusion import FusionConfig
+from .metrics import evaluate
 from .model import RjcmaModel, _is_int
-from .train import (NumericalError, TrainConfig, cross_validate, fit,
-                    train_fold, evaluate_model)
+from .train import NumericalError, TrainConfig, cross_validate, train_fold
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,7 +65,8 @@ def default_config() -> dict:
         "n_folds": 6,
         "synthetic": asdict(dat.SyntheticConfig()),
         "window": {"K": 300, "stride": 200},
-        "train": asdict(TrainConfig()),
+        # None: train.seed follows seed
+        "train": {**asdict(TrainConfig()), "seed": None},
         "gradcheck": asdict(GradcheckConfig()),
     }
 
@@ -110,13 +111,18 @@ def load_config(path: str | None, overrides: list[str], args) -> dict:
             cursor = cursor[k]
         cursor[keys[-1]] = value
         _merge(cfg, node)
-    if not _is_int(cfg["seed"]):
-        raise ConfigError(f"seed must be int, got {cfg['seed']!r}")
+    seed, train_seed = cfg["seed"], cfg["train"]["seed"]
+    if not _is_int(seed):
+        raise ConfigError(f"seed must be int, got {seed!r}")
+    # the echoed config holds both keys, so they may agree but not differ
+    if train_seed is not None and train_seed != seed:
+        raise ConfigError(f"train.seed={train_seed!r} differs from seed={seed}")
+    key = "seed"
     if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-        cfg["train"]["seed"] = args.seed
-    else:
-        cfg["train"]["seed"] = cfg["seed"]
+        key, seed = "--seed", args.seed
+    if seed < 0:
+        raise ConfigError(f"{key}={seed} is negative")
+    cfg["seed"] = cfg["train"]["seed"] = seed
     if getattr(args, "target", None):
         cfg["train"]["target"] = args.target
     if getattr(args, "iterations", None) is not None:
@@ -177,11 +183,13 @@ def _window_spec(cfg: dict, K: int | None = None) -> dat.WindowSpec:
     return _build(dat.WindowSpec, "window", window)
 
 
-def _fusion_config(cfg: dict, iterations: int) -> FusionConfig:
-    """`iterations` comes from a checked TrainConfig."""
-    syn = _synthetic_config(cfg)
-    return FusionConfig(d_a=syn.d_a, d_v=syn.d_v, d_t=syn.d_t,
-                        K=_window_spec(cfg).K, iterations=iterations)
+def _fusion_config(records, spec: dat.WindowSpec, iterations: int) -> FusionConfig:
+    """The model for `records`: its widths are their feature widths (a
+    FormatError names a record that differs). `iterations` comes from a
+    checked TrainConfig."""
+    dims = dat.feature_dims(records)
+    return FusionConfig(d_a=dims["a"], d_v=dims["v"], d_t=dims["t"],
+                        K=spec.K, iterations=iterations)
 
 
 def _folds(cfg: dict, sequence_ids: list[str]) -> dict[str, int]:
@@ -192,12 +200,15 @@ def _folds(cfg: dict, sequence_ids: list[str]) -> dict[str, int]:
                           f"[1, {len(sequence_ids)} sequences]") from None
 
 
-def _load_split(manifest: str, split: str):
+def _load_splits(manifest: str, *splits: str) -> list[list[dat.SequenceRecord]]:
+    """The manifest's sequences of each split, read once."""
     entries = dat.load_manifest_records(manifest)
-    recs = [rec for entry, rec in entries if entry.get("split") == split]
-    if not recs:
-        raise dat.FormatError(f"no sequences with split={split!r} in {manifest}")
-    return recs
+    out = []
+    for split in splits:
+        out.append([rec for entry, rec in entries if entry.get("split") == split])
+        if not out[-1]:
+            raise dat.FormatError(f"no sequences with split={split!r} in {manifest}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +238,17 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set, args)
     spec = _window_spec(cfg)
     tcfg = _train_config(cfg)
-    fusion_cfg = _fusion_config(cfg, tcfg.iterations)
+    train_recs, val_recs = _load_splits(args.manifest, "train", "val")
+    records = train_recs + val_recs
+    fusion_cfg = _fusion_config(records, spec, tcfg.iterations)
     run_dir = new_run_dir(args.out)
     echo_config(run_dir, cfg)
 
-    train_recs = _load_split(args.manifest, "train")
-    val_recs = _load_split(args.manifest, "val")
-    normalizer = dat.Normalizer().fit(train_recs)
-    train_windows = [w for r in train_recs for w in dat.window(r, spec)]
-    val_windows = [w for r in val_recs for w in dat.window(r, spec)]
-
-    model = RjcmaModel(fusion_cfg, target=tcfg.target, seed=tcfg.seed,
-                       normalizer=normalizer)
-    result = fit(model, train_windows, val_windows, tcfg)
-    model.save(run_dir / "checkpoint.bin")
-    (run_dir / "history.csv").write_text(result.history_csv())
-    report = evaluate_model({tcfg.target: model}, val_windows)
+    models, report, fits = train_fold(records, {r.id for r in val_recs},
+                                      fusion_cfg, spec, tcfg,
+                                      targets=(tcfg.target,))
+    models[tcfg.target].save(run_dir / "checkpoint.bin")
+    (run_dir / "history.csv").write_text(fits[tcfg.target].history_csv())
     (run_dir / "report.json").write_text(report.to_json())
     print("\n".join(report.report_lines()))
     print(f"artifacts in {run_dir}")
@@ -253,16 +259,14 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set, args)
     model = RjcmaModel.load(args.checkpoint)
     spec = _window_spec(cfg, K=model.config.K)
-    recs = _load_split(args.manifest, args.split)
-    expected = {"a": model.config.d_a, "v": model.config.d_v,
-                "t": model.config.d_t}
-    for rec in recs:
-        dims = {m: f.shape[0] for m, f in rec.features.items()}
-        if dims != expected:
-            raise dat.FormatError(
-                f"{rec.id}: feature dims {dims} do not match checkpoint {expected}")
+    [recs] = _load_splits(args.manifest, args.split)
+    dims = dat.feature_dims(recs)
+    expected = {m: model.config.dim(m) for m in dat.MODALITIES}
+    if dims != expected:
+        raise dat.FormatError(
+            f"{recs[0].id}: feature dims {dims} do not match checkpoint {expected}")
     windows = [w for r in recs for w in dat.window(r, spec)]
-    report = evaluate_model({model.target: model}, windows)
+    report = evaluate(model.predict, windows, (model.target,))
     run_dir = new_run_dir(args.out)
     echo_config(run_dir, cfg)
     (run_dir / "report.json").write_text(report.to_json())
@@ -311,20 +315,18 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"--l-values must be integers, got {args.l_values!r}") from None
     if not l_values:
         raise ConfigError("--l-values must list at least one recursion depth")
-    targets = (("valence", "arousal") if args.target in (None, "both")
-               else (args.target,))
     spec = _window_spec(cfg)
     tcfgs = [_train_config(cfg, iterations=l) for l in l_values]
     records = _records_for(args, cfg)
     assignment = _folds(cfg, [r.id for r in records])
+    fusion_cfgs = [_fusion_config(records, spec, l) for l in l_values]
     run_dir = new_run_dir(args.out)
     echo_config(run_dir, cfg)
     val_ids = {sid for sid, f in assignment.items() if f == 0}
     rows = []
-    for l, tcfg in zip(l_values, tcfgs):
-        fusion_cfg = _fusion_config(cfg, l)
+    for l, tcfg, fusion_cfg in zip(l_values, tcfgs, fusion_cfgs):
         _, result, _ = train_fold(records, val_ids, fusion_cfg, spec, tcfg,
-                                  targets=targets)
+                                  targets=_targets(args))
         rows.append({"l": l, "valence": result.ccc_valence,
                      "arousal": result.ccc_arousal, "mean": result.mean})
     table = _format_table(rows, key="l", header="Num. of recursions (l)")
@@ -341,19 +343,22 @@ def cmd_cv(args) -> int:
     tcfg = _train_config(cfg)
     records = _records_for(args, cfg)
     _folds(cfg, [r.id for r in records])        # cross_validate splits the same way
-    fusion_cfg = _fusion_config(cfg, tcfg.iterations)
+    fusion_cfg = _fusion_config(records, spec, tcfg.iterations)
     run_dir = new_run_dir(args.out)
     echo_config(run_dir, cfg)
-    targets = (("valence", "arousal") if args.target in (None, "both")
-               else (args.target,))
     rows = cross_validate(records, cfg["n_folds"], fusion_cfg, spec, tcfg,
-                          targets=targets)
+                          targets=_targets(args))
     table = _format_table(rows, key="fold", header="Validation Set (fold)")
     (run_dir / "cv.json").write_text(
         json.dumps(rows, indent=2, sort_keys=True) + "\n")
     (run_dir / "cv.txt").write_text(table)
     print(table, end="")
     return EXIT_OK
+
+
+def _targets(args) -> tuple[str, ...]:
+    """The targets `--target` of ablate and cv selects."""
+    return ("valence", "arousal") if args.targets == "both" else (args.targets,)
 
 
 def _records_for(args, cfg):
@@ -401,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--target", choices=("valence", "arousal"),
-                   default="valence")
+                   help="the target to train (default: train.target)")
     p.add_argument("--iterations", type=int, help="recursion depth l")
     p.set_defaults(fn=cmd_train)
 
@@ -420,15 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--manifest")
     p.add_argument("--l-values", default="1,2,3,4")
-    p.add_argument("--target", choices=("valence", "arousal", "both"),
-                   default="both")
+    p.add_argument("--target", dest="targets", default="both",
+                   choices=("valence", "arousal", "both"))
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("cv", help="k-fold cross-validation")
     common(p)
     p.add_argument("--manifest")
-    p.add_argument("--target", choices=("valence", "arousal", "both"),
-                   default="both")
+    p.add_argument("--target", dest="targets", default="both",
+                   choices=("valence", "arousal", "both"))
     p.set_defaults(fn=cmd_cv)
 
     return parser

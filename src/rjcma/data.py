@@ -389,14 +389,36 @@ def read_manifest(path) -> list[dict]:
 
 
 def load_manifest_records(manifest_path) -> list[tuple[dict, SequenceRecord]]:
+    """Each entry with the sequence its file holds. Splits and folds are sets
+    of sequence ids, so a sequence id that two entries hold raises
+    FormatError."""
     base = Path(manifest_path).parent
     out = []
-    for entry in read_manifest(manifest_path):
+    seen = {}
+    for i, entry in enumerate(read_manifest(manifest_path)):
         p = Path(entry["path"])
         if not p.is_absolute():
             p = base / p
-        out.append((entry, read_features(p)))
+        rec = read_features(p)
+        if rec.id in seen:
+            raise FormatError(f"{manifest_path}: entries {seen[rec.id]} and {i} "
+                              f"hold the same sequence id {rec.id!r}")
+        seen[rec.id] = i
+        out.append((entry, rec))
     return out
+
+
+def feature_dims(records: list[SequenceRecord]) -> dict[str, int]:
+    """The feature width of each modality. Every record must share them: the
+    first that does not raises FormatError naming it."""
+    first = records[0]
+    dims = {m: first.features[m].shape[0] for m in MODALITIES}
+    for rec in records[1:]:
+        got = {m: rec.features[m].shape[0] for m in MODALITIES}
+        if got != dims:
+            raise FormatError(
+                f"{rec.id}: feature dims {got} differ from {first.id}'s {dims}")
+    return dims
 
 
 def make_folds(sequence_ids: list[str], n_folds: int, seed: int) -> dict[str, int]:

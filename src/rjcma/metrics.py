@@ -102,6 +102,10 @@ class EvalResult:
     per_sequence: list = field(default_factory=list)  # (seq id, target, ccc)
     n_frames: int = 0
 
+    def target_ccc(self, target: str) -> float | None:
+        """The pooled CCC of `target` ("valence" or "arousal")."""
+        return getattr(self, f"ccc_{target}")
+
     @property
     def mean(self) -> float | None:
         vals = [v for v in (self.ccc_valence, self.ccc_arousal) if v is not None]
@@ -137,15 +141,20 @@ class EvalResult:
 
 
 def evaluate(predict_fn, windows, targets=("valence", "arousal")) -> EvalResult:
-    """Global concatenated-frame CCC plus per-sequence diagnostics.
+    """Global concatenated-frame CCC plus per-sequence diagnostics: the one
+    place where frames are pooled into a CCC.
 
     `predict_fn(window, target)` must return a length-K array of per-frame
-    predictions; frames are pooled across all windows of the partition.
+    predictions, and is called once per window that has a valid frame for
+    the target. Every valid frame of such a window is pooled, across all
+    windows of the partition.
     """
     if not windows:
         raise InsufficientDataError("empty partition")
     result = EvalResult()
     for target in targets:
+        if target not in ("valence", "arousal"):
+            raise ValueError(f"unknown target {target!r}")
         all_pred, all_gt = [], []
         by_seq: dict[str, tuple[list, list]] = {}
         for w in windows:
@@ -163,11 +172,7 @@ def evaluate(predict_fn, windows, targets=("valence", "arousal")) -> EvalResult:
             raise InsufficientDataError(f"no valid frames for target {target}")
         pred = np.concatenate(all_pred)
         gt = np.concatenate(all_gt)
-        value = ccc(pred, gt)
-        if target == "valence":
-            result.ccc_valence = value
-        else:
-            result.ccc_arousal = value
+        setattr(result, f"ccc_{target}", ccc(pred, gt))
         result.n_frames = max(result.n_frames, pred.size)
         for sid in sorted(by_seq):
             ps, gs = by_seq[sid]

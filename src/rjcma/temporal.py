@@ -2,7 +2,7 @@
 
 Each block convolves a (channels x frames) matrix with left zero-padding so
 that output frame t depends on input frames <= t only, preserves the frame
-count, and adds a residual connection when channel counts match.
+count, and adds a residual connection.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class TcnBlockConfig:
     channels_out: int
     kernel_size: int = 3
     dilation: int = 1
-    residual: bool = True
 
     def __post_init__(self):
         for name in ("channels_in", "channels_out", "kernel_size", "dilation"):
@@ -110,9 +109,5 @@ class TcnStack:
 def tcn_forward(x: Tensor, stack: TcnStack) -> Tensor:
     out = x
     for block in stack.blocks:
-        conv = ad.relu(causal_dilated_conv(out, block))
-        if block.cfg.residual and block.cfg.channels_in == block.cfg.channels_out:
-            out = ad.add(conv, out)
-        else:
-            out = conv
+        out = ad.add(ad.relu(causal_dilated_conv(out, block)), out)
     return out

@@ -14,7 +14,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Normalizer, SequenceRecord, WindowSpec, make_folds, window
 from .fusion import FusionConfig
-from .metrics import EvalResult, evaluate
+from .metrics import evaluate
 from .model import RjcmaModel
 
 logger = logging.getLogger(__name__)
@@ -41,6 +41,10 @@ class TrainConfig:
 
     def __post_init__(self):
         # each message starts with the offending field and its value
+        if self.target not in ("valence", "arousal"):
+            raise ValueError(f"target={self.target!r} is not valence or arousal")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} is negative")
         if self.lr_min > self.lr_init:
             raise ValueError(f"lr_min={self.lr_min} exceeds lr_init={self.lr_init}")
         if not (0.0 < self.plateau_factor < 1.0):
@@ -174,18 +178,16 @@ class FitResult:
         return "\n".join(lines) + "\n"
 
 
-def _trainable(windows, target):
-    return [w for w in windows if w.label_mask(target).sum() >= 2]
-
-
 def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitResult:
     """Seeded epoch loop: shuffle, batch, per-window CCC loss averaged over the
     batch in one graph, Adam step, validation CCC, best-state snapshot and
-    end-of-epoch reload, early stopping."""
+    end-of-epoch reload, early stopping.
+
+    A train window needs two valid frames for its loss; the validation CCC
+    is `evaluate`'s, over every valid frame."""
     target = model.target
-    train_windows = _trainable(train_windows, target)
-    val_windows = _trainable(val_windows, target)
-    if not train_windows or not val_windows:
+    train_windows = [w for w in train_windows if w.label_mask(target).sum() >= 2]
+    if not train_windows or not any(w.label_mask(target).any() for w in val_windows):
         raise ValueError("train and validation partitions must be non-empty")
 
     rng = np.random.default_rng(cfg.seed)
@@ -215,7 +217,7 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
                       cfg.weight_decay)
             epoch_losses.append(value)
 
-        val_ccc = _eval_target(model, val_windows)
+        val_ccc = evaluate(model.predict, val_windows, (target,)).target_ccc(target)
         improved = val_ccc > best_ccc
         if improved:
             best_ccc = val_ccc
@@ -236,27 +238,6 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
     return FitResult(model=model, history=history, best_val_ccc=best_ccc)
 
 
-def _eval_target(model: RjcmaModel, windows) -> float:
-    res = evaluate(lambda w, t: model.predict(w, t), windows,
-                   targets=(model.target,))
-    return res.ccc_valence if model.target == "valence" else res.ccc_arousal
-
-
-def evaluate_model(models: dict[str, RjcmaModel], windows) -> EvalResult:
-    """Joint report over whichever per-target models are supplied."""
-    result = EvalResult()
-    for target, model in models.items():
-        sub = evaluate(lambda w, t: model.predict(w, t),
-                       _trainable(windows, target), targets=(target,))
-        if target == "valence":
-            result.ccc_valence = sub.ccc_valence
-        else:
-            result.ccc_arousal = sub.ccc_arousal
-        result.n_frames = max(result.n_frames, sub.n_frames)
-        result.per_sequence.extend(sub.per_sequence)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # cross-validation
 
@@ -264,7 +245,8 @@ def evaluate_model(models: dict[str, RjcmaModel], windows) -> EvalResult:
 def train_fold(records: list[SequenceRecord], val_ids: set[str],
                fusion_cfg: FusionConfig, window_spec: WindowSpec,
                cfg: TrainConfig, targets=("valence", "arousal")):
-    """Train per-target models on one train/val split; returns (models, result)."""
+    """Train per-target models on one train/val split; returns (models, the
+    `evaluate` report of the models on the validation windows, fits)."""
     train_recs = [r for r in records if r.id not in val_ids]
     val_recs = [r for r in records if r.id in val_ids]
     normalizer = Normalizer().fit(train_recs)
@@ -279,7 +261,7 @@ def train_fold(records: list[SequenceRecord], val_ids: set[str],
         fits[target] = fit(model, train_windows, val_windows,
                            replace(cfg, target=target))
         models[target] = fits[target].model
-    result = evaluate_model(models, val_windows)
+    result = evaluate(lambda w, t: models[t].predict(w, t), val_windows, targets)
     return models, result, fits
 
 

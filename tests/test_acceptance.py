@@ -18,7 +18,7 @@ from rjcma import fusion as fu
 from rjcma import temporal as tc
 from rjcma import train as tr
 from rjcma.autodiff import Tensor
-from rjcma.metrics import ccc, ccc_loss
+from rjcma.metrics import ccc, ccc_loss, evaluate
 
 
 def announce(capsys, name, ok, detail=""):
@@ -214,7 +214,8 @@ def test_recipe_fidelity(capsys):
                          max_epochs=8, warmup_epochs=1, seed=0)
     result = tr.fit(model, train_w, val_w, cfg)
     best_ok = (result.best_val_ccc == max(h.val_ccc for h in result.history)
-               and tr._eval_target(result.model, val_w) == result.best_val_ccc)
+               and evaluate(result.model.predict, val_w, ("valence",)).ccc_valence
+               == result.best_val_ccc)
     announce(capsys, "recipe fidelity", ladder_ok and best_ok,
              "lr ladder 1e-5 .. 1e-8; best-state reload exact")
 

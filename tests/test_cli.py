@@ -8,6 +8,7 @@ from rjcma import autodiff as ad
 from rjcma import checkpoint as ck
 from rjcma import cli
 from rjcma import data as dat
+from rjcma import train as tr
 from rjcma.fusion import FusionConfig
 from rjcma.model import RjcmaModel
 
@@ -98,6 +99,77 @@ class TestTrain:
         r2 = self.run_train(tmp_path, smoke_config, dataset, "runs2")
         for name in ("report.json", "history.csv", "checkpoint.bin"):
             assert (r1 / name).read_bytes() == (r2 / name).read_bytes()
+
+    def test_echoed_config_reruns_identical(self, tmp_path, smoke_config, dataset):
+        r1 = self.run_train(tmp_path, smoke_config, dataset, "runs1")
+        r2 = self.run_train(tmp_path, str(r1 / "config.json"), dataset, "runs2")
+        for name in ("config.json", "report.json", "history.csv", "checkpoint.bin"):
+            assert (r1 / name).read_bytes() == (r2 / name).read_bytes()
+
+    def test_target_from_config(self, tmp_path, smoke_config, dataset):
+        out = tmp_path / "runs"
+        assert cli.main(["train", "--config", smoke_config,
+                         "--set", "train.target=arousal",
+                         "--manifest", str(dataset / "manifest.json"),
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "run-0000" / "report.json").read_text())
+        assert report["ccc_valence"] is None
+        assert report["ccc_arousal"] is not None
+        assert RjcmaModel.load(out / "run-0000" / "checkpoint.bin").target == "arousal"
+
+    def test_window_with_one_valid_frame_is_scored(self, tmp_path, smoke_config,
+                                                    monkeypatch):
+        # K=20, stride 15 over T=40: the val sequence's windows start at 0,
+        # 15 and 30 and hold 10, 0 and 1 valid valence frames
+        rng = np.random.default_rng(1)
+        valence = np.full(40, dat.INVALID_LABEL)
+        valence[:10] = rng.uniform(-0.5, 0.5, 10)
+        valence[39] = 0.25
+        val = _record("val", valence=valence)
+        train = [_record(f"tr{i}", seed=i) for i in range(3)]
+        manifest = _manifest(tmp_path / "data", train, [val])
+        fits = []
+        real_fit = tr.fit
+        monkeypatch.setattr(tr, "fit", lambda *a: fits.append(real_fit(*a)) or fits[-1])
+        out = tmp_path / "runs"
+        assert cli.main(["train", "--config", smoke_config, "--manifest", manifest,
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "run-0000" / "report.json").read_text())
+        assert report["n_frames"] == 11
+        assert [f.best_val_ccc for f in fits] == [report["ccc_valence"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train"],
+    ["cv", "--target", "valence"],
+    ["ablate", "--l-values", "1", "--target", "valence"],
+], ids=["train", "cv", "ablate"])
+def test_model_widths_come_from_the_data(tmp_path, smoke_config, argv):
+    # the config's synthetic widths are 4; the features are 8 wide
+    data = tmp_path / "data"
+    assert cli.main(["gen", "--config", smoke_config, "--set", "synthetic.d_a=8",
+                     "--set", "synthetic.d_v=8", "--set", "synthetic.d_t=8",
+                     "--out", str(data)]) == 0
+    out = tmp_path / "runs"
+    assert cli.main(argv + ["--config", smoke_config, "--out", str(out),
+                            "--manifest", str(data / "manifest.json")]) == 0
+    if argv[0] == "train":
+        model = RjcmaModel.load(out / "run-0000" / "checkpoint.bin")
+        assert (model.config.d_a, model.config.d_v, model.config.d_t) == (8, 8, 8)
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_mixed_feature_widths_exit_with_data_error(tmp_path, smoke_config, capsys,
+                                                   command):
+    manifest = _manifest(tmp_path / "data", [_record("s0"), _record("s1", width=6)],
+                         [_record("s2")])
+    rc = cli.main([command, "--config", smoke_config, "--manifest", manifest,
+                   "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "s1: feature dims {'a': 6, 'v': 6, 't': 6} differ from s0's" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 class TestEval:
@@ -202,7 +274,15 @@ class TestConfigValues:
         (["train", "--set", "train.lr_min=1.0"], "train.lr_min=1.0 exceeds lr_init=0.003"),
         (["train", "--set", "window.K=abc"], "window.K must be int, got 'abc'"),
         (["gen", "--set", "n_folds=5"], "n_folds=5 must be an integer in [1, 4 sequences]"),
-    ], ids=["stride-above-K", "lr-min-above-lr-init", "K-not-int", "folds-above-sequences"])
+        (["train", "--set", "train.target=both"],
+         "train.target='both' is not valence or arousal"),
+        (["train", "--set", "train.seed=6"], "train.seed=6 differs from seed=5"),
+        (["train", "--seed", "-1"], "--seed=-1 is negative"),
+        (["gen", "--seed", "-1"], "--seed=-1 is negative"),
+        (["gen", "--set", "seed=-1", "--set", "train.seed=-1"], "seed=-1 is negative"),
+    ], ids=["stride-above-K", "lr-min-above-lr-init", "K-not-int", "folds-above-sequences",
+            "target-both", "train-seed-differs", "negative-seed-flag", "negative-seed-flag-gen",
+            "negative-seed"])
     def test_exits_with_usage_error_naming_key(self, tmp_path, smoke_config, dataset,
                                                capsys, argv, message):
         rc = cli.main(argv + ["--config", smoke_config, "--out", str(tmp_path / "o")]
@@ -222,11 +302,29 @@ class TestConfigValues:
         assert "window.stride=200 is outside [1, K=16]" in capsys.readouterr().err
 
 
-def _record(ident="s"):
-    rng = np.random.default_rng(0)
-    return dat.SequenceRecord(id=ident, features={m: rng.normal(size=(4, 30))
-                                                  for m in dat.MODALITIES},
-                              valence=np.zeros(30), arousal=np.zeros(30))
+def _record(ident="s", seed=0, width=4, valence=None):
+    """A sequence of T=30 frames, or of valence's length, with labels drawn
+    in [-0.5, 0.5] unless they are given."""
+    t = 30 if valence is None else valence.size
+    rng = np.random.default_rng(seed)
+    features = {m: rng.normal(size=(width, t)) for m in dat.MODALITIES}
+    if valence is None:
+        valence = rng.uniform(-0.5, 0.5, t)
+    return dat.SequenceRecord(id=ident, features=features, valence=valence,
+                              arousal=rng.uniform(-0.5, 0.5, t))
+
+
+def _manifest(directory, train, val) -> str:
+    """Write the records' MMF files and a manifest splitting them; return
+    the manifest's path."""
+    directory.mkdir()
+    entries = []
+    for split, recs in (("train", train), ("val", val)):
+        for rec in recs:
+            dat.write_features(directory / f"{rec.id}.mmf", rec)
+            entries.append({"id": rec.id, "path": f"{rec.id}.mmf", "split": split})
+    dat.write_manifest(directory / "manifest.json", entries)
+    return str(directory / "manifest.json")
 
 
 def _mmf(path, ident="s", feature=None, flip=None):
@@ -250,10 +348,12 @@ def _mmf(path, ident="s", feature=None, flip=None):
     ('[{"id": "s", "split": "val"}]', None, "manifest.json: entry 0 lacks key 'path'"),
     ('[{"path": 3, "split": "val"}]', None,
      "manifest.json: entry 0 key 'path' is not a string: 3"),
+    ('[{"path": "s.mmf", "split": "train"}, {"path": "s.mmf", "split": "val"}]', None,
+     "manifest.json: entries 0 and 1 hold the same sequence id 's'"),
     (None, {"flip": (12, 0xFF)}, "s.mmf: sequence id is not UTF-8 at byte 12"),
     (None, {"feature": float("nan")}, "s.mmf: non-finite value at byte 41"),
     (None, {"feature": float("-inf")}, "s.mmf: non-finite value at byte 41"),
-], ids=["not-json", "entry-not-object", "entry-lacks-path", "path-not-string",
+], ids=["not-json", "entry-not-object", "entry-lacks-path", "path-not-string", "repeated-id",
         "id-not-utf8", "nan-payload", "inf-payload"])
 def test_eval_bad_manifest_or_features_exit_with_data_error(
         tmp_path, capsys, manifest, mmf, message):

@@ -187,6 +187,11 @@ class TestEvaluate:
         with pytest.raises(mt.InsufficientDataError):
             mt.evaluate(self.predict, [], targets=("valence",))
 
+    def test_unknown_target(self):
+        w = FakeWindow("s", np.zeros(4), np.arange(4.0))
+        with pytest.raises(ValueError, match="unknown target 'Valence'"):
+            mt.evaluate(self.predict, [w], targets=("Valence",))
+
     def test_json_roundtrip(self):
         import json
         res = mt.EvalResult(ccc_valence=0.5, ccc_arousal=0.7,

@@ -7,6 +7,7 @@ from rjcma import data as dat
 from rjcma import train as tr
 from rjcma.autodiff import Tensor
 from rjcma.fusion import FusionConfig
+from rjcma.metrics import evaluate
 from rjcma.model import RjcmaModel
 
 
@@ -205,7 +206,8 @@ class TestFit:
         best_in_history = max(h.val_ccc for h in result.history)
         assert result.best_val_ccc == best_in_history
         # the returned model reproduces the historical best exactly
-        assert tr._eval_target(result.model, val_w) == best_in_history
+        report = evaluate(result.model.predict, val_w, targets=("valence",))
+        assert report.ccc_valence == best_in_history
 
     def test_deterministic(self):
         a, _ = self.fit_small(seed=3)
