@@ -8,7 +8,7 @@ synthetic data generation, and a reproducible training harness + CLI.
 
 from .autodiff import Tensor, backward, grad_check
 from .data import SequenceRecord, SyntheticConfig, WindowSpec, generate_synthetic, window
-from .fusion import FusionConfig, RjcmaParams, rjcma_forward
+from .fusion import FusionConfig, init_params, rjcma_forward
 from .metrics import ccc, ccc_loss, evaluate
 from .model import RjcmaModel
 from .temporal import TcnStack, tcn_forward
@@ -18,7 +18,7 @@ __all__ = [
     "Tensor", "backward", "grad_check",
     "SequenceRecord", "SyntheticConfig", "WindowSpec",
     "generate_synthetic", "window",
-    "FusionConfig", "RjcmaParams", "rjcma_forward",
+    "FusionConfig", "init_params", "rjcma_forward",
     "ccc", "ccc_loss", "evaluate",
     "RjcmaModel", "TcnStack", "tcn_forward",
     "TrainConfig", "cross_validate", "fit",

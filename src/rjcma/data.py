@@ -158,6 +158,12 @@ class SyntheticConfig:
                 raise ValueError(f"{name}={getattr(self, name)} is not positive")
         if self.t_max < self.t_min:
             raise ValueError(f"t_max={self.t_max} is below t_min={self.t_min}")
+        for name in ("latent_step_sigma", "noise_sigma", "n_private"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name}={getattr(self, name)} is not a finite value >= 0")
+        for name in ("dropout_prob", "invalid_label_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name}={getattr(self, name)} is outside [0, 1]")
 
     def dim(self, m: str) -> int:
         return {"a": self.d_a, "v": self.d_v, "t": self.d_t}[m]

@@ -45,51 +45,26 @@ class FusionConfig:
         return {"a": self.d_a, "v": self.d_v, "t": self.d_t}[m]
 
 
-def _uniform(rng: np.random.Generator, rows: int, cols: int, bound: float) -> np.ndarray:
-    return rng.uniform(-bound, bound, size=(rows, cols))
-
-
-class RjcmaParams:
-    """All learnable tensors of the fusion block, keyed by stable names.
-
-    Layout per FusionConfig: the shared Eq.-style joint FC (d x d weight,
-    d x 1 bias), per recursion step i and modality m the matrices
-    W_j (d_m x d), W_c (K x K), W_h (K x K), and a two-layer MLP head.
-    """
-
-    def __init__(self, config: FusionConfig, rng: np.random.Generator):
-        self.config = config
-        d, K, h = config.d, config.K, config.head_hidden
-        t: dict[str, Tensor] = {}
-
-        b = 1.0 / math.sqrt(d)
-        t["fc_joint/w"] = Tensor(_uniform(rng, d, d, b), requires_grad=True)
-        t["fc_joint/b"] = Tensor(_uniform(rng, d, 1, b), requires_grad=True)
-        for i in range(1, config.iterations + 1):
-            for m in MODALITIES:
-                dm = config.dim(m)
-                t[f"iter{i}/W_j{m}"] = Tensor(
-                    _uniform(rng, dm, d, 1.0 / math.sqrt(dm)), requires_grad=True)
-                # attention weights start near zero so the residual path dominates
-                t[f"iter{i}/W_c{m}"] = Tensor(
-                    _uniform(rng, K, K, 1e-2 / math.sqrt(K)), requires_grad=True)
-                t[f"iter{i}/W_h{m}"] = Tensor(
-                    _uniform(rng, K, K, 1e-2 / math.sqrt(K)), requires_grad=True)
-        t["head/w1"] = Tensor(_uniform(rng, h, d, 1.0 / math.sqrt(d)), requires_grad=True)
-        t["head/b1"] = Tensor(_uniform(rng, h, 1, 1.0 / math.sqrt(d)), requires_grad=True)
-        t["head/w2"] = Tensor(_uniform(rng, 1, h, 1.0 / math.sqrt(h)), requires_grad=True)
-        t["head/b2"] = Tensor(_uniform(rng, 1, 1, 1.0 / math.sqrt(h)), requires_grad=True)
-        self.tensors = t
-        assert self.count() == expected_param_count(config)
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self.tensors[name]
-
-    def named(self):
-        return self.tensors.items()
-
-    def count(self) -> int:
-        return sum(p.data.size for p in self.tensors.values())
+def init_params(config: FusionConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Every learnable tensor of the fusion block, keyed by stable names:
+    the shared joint FC (d x d weight, d x 1 bias), per recursion step i and
+    modality m the matrices W_j (d_m x d), W_c (K x K), W_h (K x K), and a
+    two-layer MLP head. Each is drawn uniformly from [-bound, bound]."""
+    d, K, h = config.d, config.K, config.head_hidden
+    # (name, shape, bound) in draw order
+    spec = [("fc_joint/w", (d, d), 1.0 / math.sqrt(d)),
+            ("fc_joint/b", (d, 1), 1.0 / math.sqrt(d))]
+    for i in range(1, config.iterations + 1):
+        for m in MODALITIES:
+            dm = config.dim(m)
+            # attention weights start near zero so the residual path dominates
+            spec += [(f"iter{i}/W_j{m}", (dm, d), 1.0 / math.sqrt(dm)),
+                     (f"iter{i}/W_c{m}", (K, K), 1e-2 / math.sqrt(K)),
+                     (f"iter{i}/W_h{m}", (K, K), 1e-2 / math.sqrt(K))]
+    spec += [("head/w1", (h, d), 1.0 / math.sqrt(d)), ("head/b1", (h, 1), 1.0 / math.sqrt(d)),
+             ("head/w2", (1, h), 1.0 / math.sqrt(h)), ("head/b2", (1, 1), 1.0 / math.sqrt(h))]
+    return {name: Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+            for name, shape, bound in spec}
 
 
 def expected_param_count(config: FusionConfig) -> int:
@@ -206,7 +181,7 @@ def attention_branch(xm: Tensor, joint: Tensor, w_j: Tensor, w_c: Tensor,
     return ad._make(out, parents, bwd)
 
 
-def predict_head(x_att: Tensor, params: RjcmaParams) -> Tensor:
+def predict_head(x_att: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Two-layer MLP applied per frame, tanh output to stay in [-1, 1]."""
     hidden = ad.relu(ad.add_col_bias(ad.matmul(params["head/w1"], x_att),
                                      params["head/b1"]))
@@ -215,7 +190,7 @@ def predict_head(x_att: Tensor, params: RjcmaParams) -> Tensor:
 
 
 def rjcma_forward(xa: Tensor, xv: Tensor, xt: Tensor,
-                  params: RjcmaParams, config: FusionConfig,
+                  params: dict[str, Tensor], config: FusionConfig,
                   collect_intermediates: bool = False) -> FusionOutput:
     """Run the full recursive fusion block and regression head.
 

@@ -10,7 +10,7 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from .autodiff import Tensor
 from .data import MODALITIES, Normalizer, Window
-from .fusion import FusionConfig, RjcmaParams, rjcma_forward
+from .fusion import FusionConfig, init_params, rjcma_forward
 from .metrics import ccc_loss
 from .temporal import TcnStack, tcn_forward
 
@@ -20,31 +20,22 @@ class RjcmaModel:
     recursive joint cross-modal attention block and its MLP head."""
 
     def __init__(self, config: FusionConfig, target: str, seed: int,
-                 tcn_kernel: int = 3, tcn_dilations: tuple[int, ...] = (1, 2),
                  normalizer: Normalizer | None = None):
         if target not in ("valence", "arousal"):
             raise ValueError(f"unknown target {target!r}")
         self.config = config
         self.target = target
         self.seed = seed
-        self.tcn_kernel = tcn_kernel
-        self.tcn_dilations = tuple(tcn_dilations)
         self.normalizer = normalizer
         rng = np.random.default_rng(seed)
-        self.fusion = RjcmaParams(config, rng)
-        self.tcn = {
-            m: TcnStack(config.dim(m), rng, kernel_size=tcn_kernel,
-                        dilations=self.tcn_dilations)
-            for m in MODALITIES
-        }
-
-    # -- parameter plumbing -------------------------------------------------
+        self.params = init_params(config, rng)
+        self.tcn = {m: TcnStack(config.dim(m), rng) for m in MODALITIES}
+        self.params.update({f"tcn/{m}/{name}": p for m in MODALITIES
+                            for name, p in self.tcn[m].params.items()})
 
     def parameters(self) -> dict[str, Tensor]:
-        params = dict(self.fusion.named())
-        for m in MODALITIES:
-            params.update(self.tcn[m].named(prefix=f"tcn/{m}"))
-        return params
+        """Every learnable tensor, by its checkpoint name."""
+        return self.params
 
     def state_arrays(self, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
         """A copy of every parameter array; with `out` (an earlier result),
@@ -86,7 +77,7 @@ class RjcmaModel:
         x = self._inputs(windows)
         encoded = {m: tcn_forward(x[m], self.tcn[m]) for m in MODALITIES}
         return rjcma_forward(encoded["a"], encoded["v"], encoded["t"],
-                             self.fusion, self.config)
+                             self.params, self.config)
 
     def predict(self, win: Window, target: str | None = None) -> np.ndarray:
         if target is not None and target != self.target:
@@ -113,8 +104,9 @@ class RjcmaModel:
             "d_t": self.config.d_t, "K": self.config.K,
             "iterations": self.config.iterations,
             "target": self.target, "seed": self.seed,
-            "tcn_kernel": self.tcn_kernel,
-            "tcn_dilations": list(self.tcn_dilations),
+            # the TCN geometry is fixed; a checkpoint records it as a format field
+            "tcn_kernel": self.tcn["a"].kernel_size,
+            "tcn_dilations": list(self.tcn["a"].dilations),
         }
 
     def save(self, path) -> None:
@@ -126,9 +118,10 @@ class RjcmaModel:
     @classmethod
     def load(cls, path) -> "RjcmaModel":
         """The model a checkpoint holds. A config key that is missing or of
-        the wrong type, an invalid value, or a tensor that is missing or
-        mis-shaped for the config raises CheckpointError naming the file
-        and the key or tensor."""
+        the wrong type, an invalid value (the TCN geometry included), a
+        tensor that is missing or mis-shaped for the config, or a
+        normalizer std that is not positive raises CheckpointError naming
+        the file and the key or tensor."""
         config, tensors = ckpt.read_checkpoint(path)
         for key, valid in _CONFIG_TYPES.items():
             if key not in config:
@@ -147,8 +140,17 @@ class RjcmaModel:
                                      d_t=config["d_t"], K=config["K"],
                                      iterations=config["iterations"]),
                         normalizer=normalizer, target=config["target"],
-                        seed=config["seed"], tcn_kernel=config["tcn_kernel"],
-                        tcn_dilations=tuple(config["tcn_dilations"]))
+                        seed=config["seed"])
+            for key, value in model.checkpoint_config().items():
+                if config[key] != value:
+                    raise ValueError(f"config key {key!r} is {config[key]!r}, not {value!r}")
+            for name, arr in normalizer.named_arrays() if normalizer else ():
+                expected = (model.config.dim(name.split("/")[1]), 1)
+                if arr.shape != expected:
+                    raise ValueError(f"shape mismatch for {name}: {arr.shape}, "
+                                     f"expected {expected}")
+                if name.endswith("/std") and not np.all(arr > 0.0):
+                    raise ValueError(f"{name} has a value that is not positive")
             model.load_state_arrays(
                 {n: a for n, a in tensors.items() if n not in norm})
         except ValueError as e:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -258,8 +258,7 @@ def train_fold(records: list[SequenceRecord], val_ids: set[str],
     for target in targets:
         model = RjcmaModel(fusion_cfg, target=target, seed=cfg.seed,
                            normalizer=normalizer)
-        fits[target] = fit(model, train_windows, val_windows,
-                           replace(cfg, target=target))
+        fits[target] = fit(model, train_windows, val_windows, cfg)
         models[target] = fits[target].model
     result = evaluate(lambda w, t: models[t].predict(w, t), val_windows, targets)
     return models, result, fits

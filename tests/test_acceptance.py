@@ -51,7 +51,7 @@ def test_zero_attention_identity(capsys):
     ok = True
     for l in (1, 2, 3, 4):
         cfg = fu.FusionConfig(5, 4, 3, K=10, iterations=l)
-        params = fu.RjcmaParams(cfg, np.random.default_rng(l))
+        params = fu.init_params(cfg, np.random.default_rng(l))
         for i in range(1, l + 1):
             for m in fu.MODALITIES:
                 params[f"iter{i}/W_c{m}"].data[:] = 0.0
@@ -80,7 +80,7 @@ def single_pass_oracle(xa, xv, xt, params):
 
 def test_single_pass_reduction(capsys):
     cfg = fu.FusionConfig(6, 5, 4, K=12, iterations=1)
-    params = fu.RjcmaParams(cfg, np.random.default_rng(7))
+    params = fu.init_params(cfg, np.random.default_rng(7))
     feats = make_features(cfg, seed=8)
     out = fu.rjcma_forward(feats["a"], feats["v"], feats["t"], params, cfg)
     oracle = single_pass_oracle(feats["a"].data, feats["v"].data,

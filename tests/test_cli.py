@@ -245,18 +245,35 @@ class TestEvalBadCheckpointConfig:
 
 
 class TestEvalBadCheckpointTensors:
+    # each case edits the config or tensors of a checkpoint as `rjcma train`
+    # writes it at d_m=4, normalizer included
     @pytest.mark.parametrize("edit, message", [
-        (lambda t: t.pop("head/w1"), "state mismatch on ['head/w1']"),
-        (lambda t: t.update({"iter2/W_cv": np.ones((20, 19))}),
+        (lambda c, t: t.pop("head/w1"), "state mismatch on ['head/w1']"),
+        (lambda c, t: t.update({"iter2/W_cv": np.ones((20, 19))}),
          "shape mismatch for iter2/W_cv: (20, 19), expected (20, 20)"),
-    ], ids=["missing-tensor", "misshaped-tensor"])
+        (lambda c, t: c.update(tcn_kernel=2), "config key 'tcn_kernel' is 2, not 3"),
+        (lambda c, t: c.update(tcn_dilations=[2, 1]),
+         "config key 'tcn_dilations' is [2, 1], not [1, 2]"),
+        (lambda c, t: t.update({"norm/a/mean": np.zeros((3, 1))}),
+         "shape mismatch for norm/a/mean: (3, 1), expected (4, 1)"),
+        (lambda c, t: t.update({"norm/a/mean": np.zeros((1, 1))}),
+         "shape mismatch for norm/a/mean: (1, 1), expected (4, 1)"),
+        (lambda c, t: t.update({"norm/a/std": np.ones((4, 5))}),
+         "shape mismatch for norm/a/std: (4, 5), expected (4, 1)"),
+        (lambda c, t: t.update({"norm/a/std": np.zeros((4, 1))}),
+         "norm/a/std has a value that is not positive"),
+    ], ids=["missing-tensor", "misshaped-tensor", "tcn-kernel", "tcn-dilations",
+            "norm-mean-rows", "norm-mean-one-by-one", "norm-std-cols", "norm-std-zero"])
     def test_exits_with_data_error_naming_tensor(self, tmp_path, smoke_config,
                                                   dataset, capsys, edit, message):
-        model = RjcmaModel(FusionConfig(4, 4, 4, K=20), "valence", seed=0)
-        tensors = model.state_arrays()
-        edit(tensors)
+        norm = dat.Normalizer().fit([_record()])
+        model = RjcmaModel(FusionConfig(4, 4, 4, K=20), "valence", seed=0,
+                           normalizer=norm)
+        config = model.checkpoint_config()
+        tensors = {**model.state_arrays(), **dict(norm.named_arrays())}
+        edit(config, tensors)
         path = tmp_path / "bad.bin"
-        ck.write_checkpoint(path, model.checkpoint_config(), tensors)
+        ck.write_checkpoint(path, config, tensors)
         rc = cli.main(["eval", "--config", smoke_config,
                        "--checkpoint", str(path),
                        "--manifest", str(dataset / "manifest.json"),
@@ -280,9 +297,22 @@ class TestConfigValues:
         (["train", "--seed", "-1"], "--seed=-1 is negative"),
         (["gen", "--seed", "-1"], "--seed=-1 is negative"),
         (["gen", "--set", "seed=-1", "--set", "train.seed=-1"], "seed=-1 is negative"),
+        (["gen", "--set", "synthetic.latent_step_sigma=-1"],
+         "synthetic.latent_step_sigma=-1 is not a finite value >= 0"),
+        (["gen", "--set", "synthetic.latent_step_sigma=NaN"],
+         "synthetic.latent_step_sigma=nan is not a finite value >= 0"),
+        (["gen", "--set", "synthetic.noise_sigma=-0.5"],
+         "synthetic.noise_sigma=-0.5 is not a finite value >= 0"),
+        (["gen", "--set", "synthetic.n_private=-1"],
+         "synthetic.n_private=-1 is not a finite value >= 0"),
+        (["gen", "--set", "synthetic.dropout_prob=2"], "synthetic.dropout_prob=2 is outside [0, 1]"),
+        (["gen", "--set", "synthetic.invalid_label_prob=-0.1"],
+         "synthetic.invalid_label_prob=-0.1 is outside [0, 1]"),
     ], ids=["stride-above-K", "lr-min-above-lr-init", "K-not-int", "folds-above-sequences",
             "target-both", "train-seed-differs", "negative-seed-flag", "negative-seed-flag-gen",
-            "negative-seed"])
+            "negative-seed", "negative-latent-step-sigma", "nan-latent-step-sigma",
+            "negative-noise-sigma", "negative-n-private", "dropout-prob-above-1",
+            "invalid-label-prob-below-0"])
     def test_exits_with_usage_error_naming_key(self, tmp_path, smoke_config, dataset,
                                                capsys, argv, message):
         rc = cli.main(argv + ["--config", smoke_config, "--out", str(tmp_path / "o")]

@@ -54,18 +54,19 @@ class TestConfigAndParams:
 
     def test_param_count_is_pure_function_of_config(self):
         cfg = fu.FusionConfig(3, 4, 5, K=6, iterations=2)
-        params = fu.RjcmaParams(cfg, np.random.default_rng(0))
-        assert params.count() == fu.expected_param_count(cfg)
+        params = fu.init_params(cfg, np.random.default_rng(0))
+        count = sum(p.data.size for p in params.values())
+        assert count == fu.expected_param_count(cfg)
         d, K, h = 12, 6, 6
         by_hand = (d * d + d
                    + 2 * ((3 + 4 + 5) * d + 3 * 2 * K * K)
                    + h * d + h + h + 1)
-        assert params.count() == by_hand
+        assert count == by_hand
 
     def test_all_params_require_grad(self):
         cfg = fu.FusionConfig(2, 2, 2, K=3)
-        params = fu.RjcmaParams(cfg, np.random.default_rng(0))
-        assert all(p.requires_grad for _, p in params.named())
+        params = fu.init_params(cfg, np.random.default_rng(0))
+        assert all(p.requires_grad for p in params.values())
 
 
 class TestJointRepresentation:
@@ -300,18 +301,18 @@ class TestAttend:
 class TestRjcmaForward:
     def test_l1_reduces_to_single_pass_oracle(self):
         cfg = fu.FusionConfig(3, 4, 2, K=5, iterations=1)
-        params = fu.RjcmaParams(cfg, np.random.default_rng(0))
+        params = fu.init_params(cfg, np.random.default_rng(0))
         x = make_inputs(cfg, seed=1)
         out = fu.rjcma_forward(x["a"], x["v"], x["t"], params, cfg)
         cat, preds = jca_single_pass(x["a"].data, x["v"].data,
-                                     x["t"].data, params.tensors)
+                                     x["t"].data, params)
         np.testing.assert_array_equal(out.attended.data, cat)
         np.testing.assert_array_equal(out.predictions.data, preds)
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_zero_attention_identity(self, l):
         cfg = fu.FusionConfig(3, 3, 3, K=4, iterations=l)
-        params = fu.RjcmaParams(cfg, np.random.default_rng(0))
+        params = fu.init_params(cfg, np.random.default_rng(0))
         for i in range(1, l + 1):
             for m in fu.MODALITIES:
                 params[f"iter{i}/W_c{m}"].data[:] = 0.0
@@ -323,7 +324,7 @@ class TestRjcmaForward:
 
     def test_deterministic_across_runs(self):
         cfg = fu.FusionConfig(4, 4, 4, K=6, iterations=3)
-        params = fu.RjcmaParams(cfg, np.random.default_rng(3))
+        params = fu.init_params(cfg, np.random.default_rng(3))
         x = make_inputs(cfg, seed=4)
         a = fu.rjcma_forward(x["a"], x["v"], x["t"], params, cfg)
         b = fu.rjcma_forward(x["a"], x["v"], x["t"], params, cfg)
@@ -333,18 +334,18 @@ class TestRjcmaForward:
     def test_recursion_nesting(self):
         # step-1 intermediates of an l=3 run equal an independent l=1 run
         cfg3 = fu.FusionConfig(3, 3, 3, K=4, iterations=3)
-        params3 = fu.RjcmaParams(cfg3, np.random.default_rng(5))
+        params3 = fu.init_params(cfg3, np.random.default_rng(5))
         x = make_inputs(cfg3, seed=6)
         deep = fu.rjcma_forward(x["a"], x["v"], x["t"], params3, cfg3,
                                 collect_intermediates=True)
 
         cfg1 = fu.FusionConfig(3, 3, 3, K=4, iterations=1)
-        params1 = fu.RjcmaParams(cfg1, np.random.default_rng(99))
+        params1 = fu.init_params(cfg1, np.random.default_rng(99))
         for name in ("fc_joint/w", "fc_joint/b"):
-            params1.tensors[name].data = params3[name].data.copy()
+            params1[name].data = params3[name].data.copy()
         for m in fu.MODALITIES:
             for kind in ("W_j", "W_c", "W_h"):
-                params1.tensors[f"iter1/{kind}{m}"].data = \
+                params1[f"iter1/{kind}{m}"].data = \
                     params3[f"iter1/{kind}{m}"].data.copy()
         shallow = fu.rjcma_forward(x["a"], x["v"], x["t"], params1, cfg1,
                                    collect_intermediates=True)
@@ -355,7 +356,7 @@ class TestRjcmaForward:
 
     def test_intermediate_shapes(self):
         cfg = fu.FusionConfig(3, 4, 5, K=6, iterations=2)
-        params = fu.RjcmaParams(cfg, np.random.default_rng(7))
+        params = fu.init_params(cfg, np.random.default_rng(7))
         x = make_inputs(cfg, seed=8)
         out = fu.rjcma_forward(x["a"], x["v"], x["t"], params, cfg,
                                collect_intermediates=True)
@@ -384,7 +385,7 @@ class TestRjcmaForward:
 
     def test_shape_mismatch_propagates(self):
         cfg = fu.FusionConfig(3, 3, 3, K=4)
-        params = fu.RjcmaParams(cfg, np.random.default_rng(0))
+        params = fu.init_params(cfg, np.random.default_rng(0))
         bad = Tensor(np.ones((3, 5)))
         good = make_inputs(cfg)
         with pytest.raises(ad.DimensionError):
@@ -394,9 +395,9 @@ class TestRjcmaForward:
 class TestPredictHead:
     def test_zero_weights_give_zero(self):
         cfg = fu.FusionConfig(2, 2, 2, K=5)
-        params = fu.RjcmaParams(cfg, np.random.default_rng(0))
+        params = fu.init_params(cfg, np.random.default_rng(0))
         for name in ("head/w1", "head/b1", "head/w2", "head/b2"):
-            params.tensors[name].data[:] = 0.0
+            params[name].data[:] = 0.0
         out = fu.predict_head(Tensor(np.random.default_rng(1).normal(size=(6, 5))),
                               params)
         np.testing.assert_array_equal(out.data, np.zeros((1, 5)))
@@ -404,14 +405,14 @@ class TestPredictHead:
     @pytest.mark.parametrize("k", [1, 4, 17])
     def test_output_shape(self, k):
         cfg = fu.FusionConfig(2, 2, 2, K=k)
-        params = fu.RjcmaParams(cfg, np.random.default_rng(0))
+        params = fu.init_params(cfg, np.random.default_rng(0))
         out = fu.predict_head(Tensor(np.ones((6, k))), params)
         assert out.shape == (1, k)
         assert np.all(np.abs(out.data) <= 1.0)
 
     def test_head_gradient_through_ccc_loss(self):
         cfg = fu.FusionConfig(2, 2, 2, K=8)
-        params = fu.RjcmaParams(cfg, np.random.default_rng(10))
+        params = fu.init_params(cfg, np.random.default_rng(10))
         rng = np.random.default_rng(11)
         x_att = rng.normal(size=(6, 8))
         gt = np.clip(rng.normal(scale=0.5, size=8), -1, 1)
@@ -427,10 +428,10 @@ class TestFullBlockGradients:
     def test_rjcma_gradcheck_at_spec_size(self):
         # every fusion parameter at d_m=8, K=16, l=3 passes at 1e-4
         cfg = fu.FusionConfig(8, 8, 8, K=16, iterations=3)
-        params = fu.RjcmaParams(cfg, np.random.default_rng(12))
+        params = fu.init_params(cfg, np.random.default_rng(12))
         rng = np.random.default_rng(13)
         # O(1) attention weights keep ReLU pre-activations off the kink
-        for name, p in params.named():
+        for name, p in params.items():
             if "/W_c" in name or "/W_h" in name:
                 p.data = rng.uniform(-0.5, 0.5, size=p.data.shape)
         x = make_inputs(cfg, seed=14)
@@ -440,5 +441,5 @@ class TestFullBlockGradients:
             out = fu.rjcma_forward(x["a"], x["v"], x["t"], params, cfg)
             return ccc_loss(out.predictions, gt)
 
-        report = ad.grad_check(f, dict(params.named()), h=1e-5, tol=1e-4)
+        report = ad.grad_check(f, params, h=1e-5, tol=1e-4)
         assert report.passed, sorted(report.errors.items(), key=lambda kv: -kv[1])[:3]

@@ -85,6 +85,32 @@ class TestModelPersistence:
         win = make_window(d=3, k=8, seed=5)
         np.testing.assert_array_equal(clone.predict(win), model.predict(win))
 
+    def test_parameter_names_and_shapes_are_pinned(self):
+        # the checkpoint format and perfbench's oracle read these names
+        model = RjcmaModel(FusionConfig(2, 3, 4, K=5, iterations=2), "valence", seed=0)
+        assert [(n, p.data.shape) for n, p in sorted(model.parameters().items())] == [
+            ("fc_joint/b", (9, 1)), ("fc_joint/w", (9, 9)), ("head/b1", (4, 1)),
+            ("head/b2", (1, 1)), ("head/w1", (4, 9)), ("head/w2", (1, 4)),
+            ("iter1/W_ca", (5, 5)), ("iter1/W_ct", (5, 5)), ("iter1/W_cv", (5, 5)),
+            ("iter1/W_ha", (5, 5)), ("iter1/W_ht", (5, 5)), ("iter1/W_hv", (5, 5)),
+            ("iter1/W_ja", (2, 9)), ("iter1/W_jt", (4, 9)), ("iter1/W_jv", (3, 9)),
+            ("iter2/W_ca", (5, 5)), ("iter2/W_ct", (5, 5)), ("iter2/W_cv", (5, 5)),
+            ("iter2/W_ha", (5, 5)), ("iter2/W_ht", (5, 5)), ("iter2/W_hv", (5, 5)),
+            ("iter2/W_ja", (2, 9)), ("iter2/W_jt", (4, 9)), ("iter2/W_jv", (3, 9)),
+            ("tcn/a/block0/bias", (2, 1)), ("tcn/a/block0/tap0", (2, 2)),
+            ("tcn/a/block0/tap1", (2, 2)), ("tcn/a/block0/tap2", (2, 2)),
+            ("tcn/a/block1/bias", (2, 1)), ("tcn/a/block1/tap0", (2, 2)),
+            ("tcn/a/block1/tap1", (2, 2)), ("tcn/a/block1/tap2", (2, 2)),
+            ("tcn/t/block0/bias", (4, 1)), ("tcn/t/block0/tap0", (4, 4)),
+            ("tcn/t/block0/tap1", (4, 4)), ("tcn/t/block0/tap2", (4, 4)),
+            ("tcn/t/block1/bias", (4, 1)), ("tcn/t/block1/tap0", (4, 4)),
+            ("tcn/t/block1/tap1", (4, 4)), ("tcn/t/block1/tap2", (4, 4)),
+            ("tcn/v/block0/bias", (3, 1)), ("tcn/v/block0/tap0", (3, 3)),
+            ("tcn/v/block0/tap1", (3, 3)), ("tcn/v/block0/tap2", (3, 3)),
+            ("tcn/v/block1/bias", (3, 1)), ("tcn/v/block1/tap0", (3, 3)),
+            ("tcn/v/block1/tap1", (3, 3)), ("tcn/v/block1/tap2", (3, 3)),
+        ]
+
     def test_state_mismatch_rejected(self):
         model = RjcmaModel(FusionConfig(3, 3, 3, K=8), "valence", seed=0)
         state = model.state_arrays()
