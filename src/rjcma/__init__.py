@@ -12,7 +12,7 @@ from .fusion import FusionConfig, init_params, rjcma_forward
 from .metrics import ccc, ccc_loss, evaluate
 from .model import RjcmaModel
 from .temporal import TcnStack, tcn_forward
-from .train import TrainConfig, cross_validate, fit
+from .train import TrainConfig, fit
 
 __all__ = [
     "Tensor", "backward", "grad_check",
@@ -21,7 +21,7 @@ __all__ = [
     "FusionConfig", "init_params", "rjcma_forward",
     "ccc", "ccc_loss", "evaluate",
     "RjcmaModel", "TcnStack", "tcn_forward",
-    "TrainConfig", "cross_validate", "fit",
+    "TrainConfig", "fit",
 ]
 
 __version__ = "0.1.0"

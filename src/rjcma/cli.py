@@ -26,7 +26,7 @@ from .autodiff import grad_check
 from .fusion import FusionConfig
 from .metrics import evaluate
 from .model import RjcmaModel, _is_int
-from .train import NumericalError, TrainConfig, cross_validate, train_fold
+from .train import NumericalError, TrainConfig, train_fold
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -193,11 +193,11 @@ def _fusion_config(records, spec: dat.WindowSpec, iterations: int) -> FusionConf
 
 
 def _folds(cfg: dict, sequence_ids: list[str]) -> dict[str, int]:
-    try:
-        return dat.make_folds(sequence_ids, cfg["n_folds"], cfg["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"n_folds={cfg['n_folds']!r} must be an integer in "
-                          f"[1, {len(sequence_ids)} sequences]") from None
+    n_folds = cfg["n_folds"]
+    if not (_is_int(n_folds) and 1 <= n_folds <= len(sequence_ids)):
+        raise ConfigError(f"n_folds={n_folds!r} must be an integer in "
+                          f"[1, {len(sequence_ids)} sequences]")
+    return dat.make_folds(sequence_ids, n_folds, cfg["seed"])
 
 
 def _load_splits(manifest: str, *splits: str) -> list[list[dat.SequenceRecord]]:
@@ -276,22 +276,21 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config, args.set, args)
-    g = _build(GradcheckConfig, "gradcheck", cfg["gradcheck"])
-    report = run_gradcheck(d_m=g.d_m, K=g.K, iterations=g.iterations,
-                           seed=g.seed, h=g.h, tol=g.tol)
+    if args.seed is not None:
+        cfg["gradcheck"]["seed"] = args.seed
+    report = run_gradcheck(_build(GradcheckConfig, "gradcheck", cfg["gradcheck"]))
     print("\n".join(report.lines()))
     print(f"max relative error {report.max_error:.3e} "
           f"({'PASS' if report.passed else 'FAIL'} at tol {report.tol:g})")
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
-def run_gradcheck(d_m: int, K: int, iterations: int, seed: int,
-                  h: float = 1e-5, tol: float = 1e-4):
+def run_gradcheck(g: GradcheckConfig):
     """Finite-difference check of the full pipeline: TCN + fusion + CCC loss."""
-    fusion_cfg = FusionConfig(d_a=d_m, d_v=d_m, d_t=d_m, K=K,
-                              iterations=iterations)
-    model = RjcmaModel(fusion_cfg, target="valence", seed=seed)
-    rng = np.random.default_rng(seed + 1)
+    fusion_cfg = FusionConfig(d_a=g.d_m, d_v=g.d_m, d_t=g.d_m, K=g.K,
+                              iterations=g.iterations)
+    model = RjcmaModel(fusion_cfg, target="valence", seed=g.seed)
+    rng = np.random.default_rng(g.seed + 1)
     # training inits the attention weights near zero, which parks ReLU
     # pre-activations on the kink where central differences are biased;
     # audit at O(1) scale instead
@@ -300,11 +299,11 @@ def run_gradcheck(d_m: int, K: int, iterations: int, seed: int,
             p.data = rng.uniform(-0.5, 0.5, size=p.data.shape)
     win = dat.Window(
         sequence_id="gradcheck", offset=0,
-        features={m: rng.normal(size=(d_m, K)) for m in dat.MODALITIES},
-        valence=np.clip(rng.normal(scale=0.5, size=K), -1, 1),
-        arousal=np.clip(rng.normal(scale=0.5, size=K), -1, 1))
+        features={m: rng.normal(size=(g.d_m, g.K)) for m in dat.MODALITIES},
+        valence=np.clip(rng.normal(scale=0.5, size=g.K), -1, 1),
+        arousal=np.clip(rng.normal(scale=0.5, size=g.K), -1, 1))
     return grad_check(lambda: model.loss_on_window(win),
-                      model.parameters(), h=h, tol=tol)
+                      model.parameters(), h=g.h, tol=g.tol)
 
 
 def cmd_ablate(args) -> int:
@@ -315,44 +314,42 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"--l-values must be integers, got {args.l_values!r}") from None
     if not l_values:
         raise ConfigError("--l-values must list at least one recursion depth")
-    spec = _window_spec(cfg)
-    tcfgs = [_train_config(cfg, iterations=l) for l in l_values]
-    records = _records_for(args, cfg)
-    assignment = _folds(cfg, [r.id for r in records])
-    fusion_cfgs = [_fusion_config(records, spec, l) for l in l_values]
-    run_dir = new_run_dir(args.out)
-    echo_config(run_dir, cfg)
-    val_ids = {sid for sid, f in assignment.items() if f == 0}
-    rows = []
-    for l, tcfg, fusion_cfg in zip(l_values, tcfgs, fusion_cfgs):
-        _, result, _ = train_fold(records, val_ids, fusion_cfg, spec, tcfg,
-                                  targets=_targets(args))
-        rows.append({"l": l, "valence": result.ccc_valence,
-                     "arousal": result.ccc_arousal, "mean": result.mean})
-    table = _format_table(rows, key="l", header="Num. of recursions (l)")
-    (run_dir / "ablation.json").write_text(
-        json.dumps(rows, indent=2, sort_keys=True) + "\n")
-    (run_dir / "ablation.txt").write_text(table)
-    print(table, end="")
-    return EXIT_OK
+    return _sweep(args, cfg, lambda n_folds: [(l, 0, l) for l in l_values],
+                  "ablation", "l", "Num. of recursions (l)")
 
 
 def cmd_cv(args) -> int:
     cfg = load_config(args.config, args.set, args)
+    l = cfg["train"]["iterations"]
+    return _sweep(args, cfg, lambda n_folds: [(f, f, l) for f in range(n_folds)],
+                  "cv", "fold", "Validation Set (fold)")
+
+
+def _sweep(args, cfg: dict, rows_for, name: str, key: str, header: str) -> int:
+    """Train one `train_fold` per `(label, fold, l)` row: depth l, with the
+    sequences of `fold` held out. `rows_for(n_folds)` lists the rows once
+    `_folds` has checked n_folds; every check runs before the run directory
+    is made. Writes the table to `<name>.json` and `<name>.txt` and prints it."""
     spec = _window_spec(cfg)
-    tcfg = _train_config(cfg)
     records = _records_for(args, cfg)
-    _folds(cfg, [r.id for r in records])        # cross_validate splits the same way
-    fusion_cfg = _fusion_config(records, spec, tcfg.iterations)
+    assignment = _folds(cfg, [r.id for r in records])
+    rows = rows_for(cfg["n_folds"])
+    tcfgs = [_train_config(cfg, iterations=l) for _, _, l in rows]
+    fusion_cfgs = [_fusion_config(records, spec, tcfg.iterations) for tcfg in tcfgs]
     run_dir = new_run_dir(args.out)
     echo_config(run_dir, cfg)
-    rows = cross_validate(records, cfg["n_folds"], fusion_cfg, spec, tcfg,
-                          targets=_targets(args))
-    table = _format_table(rows, key="fold", header="Validation Set (fold)")
-    (run_dir / "cv.json").write_text(
-        json.dumps(rows, indent=2, sort_keys=True) + "\n")
-    (run_dir / "cv.txt").write_text(table)
-    print(table, end="")
+    table = []
+    for (label, fold, _), tcfg, fusion_cfg in zip(rows, tcfgs, fusion_cfgs):
+        val_ids = {sid for sid, f in assignment.items() if f == fold}
+        _, result, _ = train_fold(records, val_ids, fusion_cfg, spec, tcfg,
+                                  targets=_targets(args))
+        table.append({key: label, "valence": result.ccc_valence,
+                      "arousal": result.ccc_arousal, "mean": result.mean})
+    text = _format_table(table, key=key, header=header)
+    (run_dir / f"{name}.json").write_text(
+        json.dumps(table, indent=2, sort_keys=True) + "\n")
+    (run_dir / f"{name}.txt").write_text(text)
+    print(text, end="")
     return EXIT_OK
 
 

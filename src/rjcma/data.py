@@ -164,6 +164,8 @@ class SyntheticConfig:
         for name in ("dropout_prob", "invalid_label_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name}={getattr(self, name)} is outside [0, 1]")
+        if not 0 < self.fps < np.inf:
+            raise ValueError(f"fps={self.fps} is not a finite value > 0")
 
     def dim(self, m: str) -> int:
         return {"a": self.d_a, "v": self.d_v, "t": self.d_t}[m]
@@ -339,6 +341,9 @@ def read_features(path) -> SequenceRecord:
         raise FormatError(f"{path}: unsupported version {version} at byte 4")
     ident = r.text("sequence id")
     fps = r.f64()
+    if not 0 < fps < np.inf:
+        raise FormatError(f"{path}: fps {fps} is not a finite value > 0 "
+                          f"at byte {r.off - 8}")
     t = r.u64()
     if t == 0:
         raise FormatError(f"{path}: empty sequence (T=0) at byte {r.off - 8}")

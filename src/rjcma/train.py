@@ -1,6 +1,6 @@
 """Training harness: Adam with decoupled weight decay, warm-up plus
-reduce-on-plateau scheduling, early stopping, best-state reload, and the
-k-fold cross-validation driver."""
+reduce-on-plateau scheduling, early stopping, best-state reload, and
+`train_fold`, which trains one model per target on a train/val split."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Normalizer, SequenceRecord, WindowSpec, make_folds, window
+from .data import Normalizer, SequenceRecord, WindowSpec, window
 from .fusion import FusionConfig
 from .metrics import evaluate
 from .model import RjcmaModel
@@ -43,15 +43,22 @@ class TrainConfig:
         # each message starts with the offending field and its value
         if self.target not in ("valence", "arousal"):
             raise ValueError(f"target={self.target!r} is not valence or arousal")
-        if self.seed < 0:
-            raise ValueError(f"seed={self.seed} is negative")
+        # written so that NaN fails every range check
+        if not 0.0 < self.lr_init < math.inf:
+            raise ValueError(f"lr_init={self.lr_init} is not a finite value > 0")
+        for name in ("lr_min", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name}={getattr(self, name)} is not a finite value >= 0")
         if self.lr_min > self.lr_init:
             raise ValueError(f"lr_min={self.lr_min} exceeds lr_init={self.lr_init}")
         if not (0.0 < self.plateau_factor < 1.0):
             raise ValueError(f"plateau_factor={self.plateau_factor} is outside (0, 1)")
-        for name in ("batch_size", "iterations"):
+        for name in ("batch_size", "max_epochs", "iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}={getattr(self, name)} is not positive")
+        for name in ("seed", "warmup_epochs", "plateau_patience", "early_stop_patience"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}={getattr(self, name)} is negative")
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +246,7 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
 
 
 # ---------------------------------------------------------------------------
-# cross-validation
+# one train/val split
 
 
 def train_fold(records: list[SequenceRecord], val_ids: set[str],
@@ -263,21 +270,3 @@ def train_fold(records: list[SequenceRecord], val_ids: set[str],
     result = evaluate(lambda w, t: models[t].predict(w, t), val_windows, targets)
     return models, result, fits
 
-
-def cross_validate(records: list[SequenceRecord], n_folds: int,
-                   fusion_cfg: FusionConfig, window_spec: WindowSpec,
-                   cfg: TrainConfig, targets=("valence", "arousal")) -> list[dict]:
-    """One row per fold, shaped {fold, valence, arousal, mean}."""
-    assignment = make_folds([r.id for r in records], n_folds, cfg.seed)
-    rows = []
-    for fold in range(n_folds):
-        val_ids = {sid for sid, f in assignment.items() if f == fold}
-        _, result, _ = train_fold(records, val_ids, fusion_cfg, window_spec,
-                                  cfg, targets)
-        rows.append({
-            "fold": fold,
-            "valence": result.ccc_valence,
-            "arousal": result.ccc_arousal,
-            "mean": result.mean,
-        })
-    return rows

@@ -39,8 +39,8 @@ def make_features(cfg, seed=0):
 
 def test_gradient_fidelity(capsys):
     start = time.perf_counter()
-    report = cli.run_gradcheck(d_m=8, K=16, iterations=3, seed=2,
-                               h=1e-5, tol=1e-4)
+    report = cli.run_gradcheck(cli.GradcheckConfig(d_m=8, K=16, iterations=3, seed=2,
+                                                   h=1e-5, tol=1e-4))
     elapsed = time.perf_counter() - start
     ok = report.passed and elapsed < 120.0
     announce(capsys, "gradient fidelity", ok,
@@ -246,8 +246,10 @@ def test_structural_reproduction(tmp_path, capsys):
     cv_ok = ([r["fold"] for r in cv_rows] == [0, 1, 2, 3, 4, 5]
              and all(set(r) == {"fold", "valence", "arousal", "mean"}
                      for r in cv_rows))
+    mean_ok = all(r["mean"] == (r["valence"] + r["arousal"]) / 2
+                  for r in ab_rows + cv_rows)
     announce(capsys, "structural reproduction",
-             rc_ab == 0 and rc_cv == 0 and ab_ok and cv_ok,
+             rc_ab == 0 and rc_cv == 0 and ab_ok and cv_ok and mean_ok,
              "recursion-depth table l=1..4, 6-fold table")
 
 
@@ -265,12 +267,21 @@ def test_determinism(tmp_path, capsys):
         assert cli.main(["train", "--config", str(config),
                          "--manifest", str(data_dir / "manifest.json"),
                          "--target", "valence", "--out", str(runs)]) == 0
+        assert cli.main(["cv", "--config", str(config),
+                         "--manifest", str(data_dir / "manifest.json"),
+                         "--out", str(runs / "cv")]) == 0
+        assert cli.main(["ablate", "--config", str(config),
+                         "--manifest", str(data_dir / "manifest.json"),
+                         "--l-values", "1,2", "--out", str(runs / "ablate")]) == 0
         run = runs / "run-0000"
         blobs = [p.read_bytes()
                  for p in sorted(data_dir.iterdir()) if p.is_file()]
         blobs += [(run / n).read_bytes()
                   for n in ("checkpoint.bin", "report.json", "history.csv")]
+        blobs += [(runs / sub / "run-0000" / n).read_bytes()
+                  for sub, table in (("cv", "cv"), ("ablate", "ablation"))
+                  for n in (f"{table}.json", f"{table}.txt")]
         artifacts.append(blobs)
     ok = all(a == b for a, b in zip(*artifacts))
     announce(capsys, "determinism", ok,
-             "gen + train reruns byte-identical")
+             "gen, train, cv and ablate reruns byte-identical")

@@ -308,11 +308,27 @@ class TestConfigValues:
         (["gen", "--set", "synthetic.dropout_prob=2"], "synthetic.dropout_prob=2 is outside [0, 1]"),
         (["gen", "--set", "synthetic.invalid_label_prob=-0.1"],
          "synthetic.invalid_label_prob=-0.1 is outside [0, 1]"),
+        (["gen", "--set", "synthetic.fps=-5"], "synthetic.fps=-5 is not a finite value > 0"),
+        (["cv", "--set", "n_folds=2.0"], "n_folds=2.0 must be an integer in [1, 4 sequences]"),
+        (["train", "--set", "train.lr_init=NaN"], "train.lr_init=nan is not a finite value > 0"),
+        (["train", "--set", "train.lr_init=-1", "--set", "train.lr_min=-2"],
+         "train.lr_init=-1 is not a finite value > 0"),
+        (["train", "--set", "train.lr_min=NaN"], "train.lr_min=nan is not a finite value >= 0"),
+        (["train", "--set", "train.weight_decay=-5"],
+         "train.weight_decay=-5 is not a finite value >= 0"),
+        (["train", "--set", "train.max_epochs=0"], "train.max_epochs=0 is not positive"),
+        (["train", "--set", "train.warmup_epochs=-1"], "train.warmup_epochs=-1 is negative"),
+        (["train", "--set", "train.plateau_patience=-1"], "train.plateau_patience=-1 is negative"),
+        (["train", "--set", "train.early_stop_patience=-1"],
+         "train.early_stop_patience=-1 is negative"),
     ], ids=["stride-above-K", "lr-min-above-lr-init", "K-not-int", "folds-above-sequences",
             "target-both", "train-seed-differs", "negative-seed-flag", "negative-seed-flag-gen",
             "negative-seed", "negative-latent-step-sigma", "nan-latent-step-sigma",
             "negative-noise-sigma", "negative-n-private", "dropout-prob-above-1",
-            "invalid-label-prob-below-0"])
+            "invalid-label-prob-below-0", "negative-fps", "float-folds", "nan-lr-init",
+            "negative-lr-init", "nan-lr-min", "negative-weight-decay", "zero-max-epochs",
+            "negative-warmup-epochs", "negative-plateau-patience",
+            "negative-early-stop-patience"])
     def test_exits_with_usage_error_naming_key(self, tmp_path, smoke_config, dataset,
                                                capsys, argv, message):
         rc = cli.main(argv + ["--config", smoke_config, "--out", str(tmp_path / "o")]
@@ -383,8 +399,10 @@ def _mmf(path, ident="s", feature=None, flip=None):
     (None, {"flip": (12, 0xFF)}, "s.mmf: sequence id is not UTF-8 at byte 12"),
     (None, {"feature": float("nan")}, "s.mmf: non-finite value at byte 41"),
     (None, {"feature": float("-inf")}, "s.mmf: non-finite value at byte 41"),
+    # byte 20 holds the sign and top exponent bits of fps=30.0, which starts at 13
+    (None, {"flip": (20, 0xC0)}, "s.mmf: fps -30.0 is not a finite value > 0 at byte 13"),
 ], ids=["not-json", "entry-not-object", "entry-lacks-path", "path-not-string", "repeated-id",
-        "id-not-utf8", "nan-payload", "inf-payload"])
+        "id-not-utf8", "nan-payload", "inf-payload", "negative-fps"])
 def test_eval_bad_manifest_or_features_exit_with_data_error(
         tmp_path, capsys, manifest, mmf, message):
     ckpt_path = tmp_path / "model.bin"
@@ -424,15 +442,22 @@ class TestGradcheck:
 
         monkeypatch.setattr(ad, "tanh", broken_tanh)
         try:
-            report = cli.run_gradcheck(d_m=3, K=6, iterations=2, seed=0)
+            report = cli.run_gradcheck(cli.GradcheckConfig(d_m=3, K=6, iterations=2, seed=0))
         finally:
             monkeypatch.setattr(ad, "tanh", real_tanh)
         assert not report.passed
 
     def test_cli_exit_code_on_failure(self, monkeypatch):
         monkeypatch.setattr(cli, "run_gradcheck",
-                            lambda **kw: ad.GradCheckReport({"w": 1.0}, 1e-4))
+                            lambda g: ad.GradCheckReport({"w": 1.0}, 1e-4))
         assert cli.main(["gradcheck"]) == cli.EXIT_NUMERICAL
+
+    def test_seed_flag_sets_gradcheck_seed(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_gradcheck",
+                            lambda g: seen.append(g) or ad.GradCheckReport({"w": 0.0}, 1e-4))
+        assert cli.main(["gradcheck", "--seed", "7"]) == 0
+        assert seen == [cli.GradcheckConfig(seed=7)]
 
     @pytest.mark.parametrize("setting, message", [
         ("gradcheck.K=abc", "gradcheck.K must be int, got 'abc'"),
@@ -478,6 +503,21 @@ class TestAblateAndCv:
         assert rc == 0
         rows = json.loads((out / "run-0000" / "cv.json").read_text())
         assert [r["fold"] for r in rows] == [0, 1]
+
+    def test_fold_zero_row_is_the_train_run(self, tmp_path, smoke_config, dataset):
+        # gen's val split is fold 0, and train.iterations defaults to 3
+        def run(*command):
+            out = tmp_path / command[0]
+            assert cli.main([*command, "--config", smoke_config, "--target", "valence",
+                             "--manifest", str(dataset / "manifest.json"),
+                             "--out", str(out)]) == 0
+            return out / "run-0000"
+
+        train = json.loads((run("train") / "report.json").read_text())["ccc_valence"]
+        cv = json.loads((run("cv") / "cv.json").read_text())
+        ablate = json.loads((run("ablate", "--l-values", "3") / "ablation.json").read_text())
+        assert train is not None
+        assert train == cv[0]["valence"] == ablate[0]["valence"]
 
 
 class TestRunDirs:

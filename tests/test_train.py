@@ -243,28 +243,3 @@ class TestFit:
         with pytest.raises(ValueError):
             tr.fit(model, [], wins, tr.TrainConfig())
 
-
-class TestCrossValidate:
-    def test_table_shape(self):
-        recs, spec, fusion = small_setup(n_seq=4, t=40, k=16)
-        cfg = tr.TrainConfig(lr_init=1e-3, lr_min=1e-6, max_epochs=2,
-                             warmup_epochs=1, seed=0)
-        rows = tr.cross_validate(recs, 2, fusion, spec, cfg,
-                                 targets=("valence", "arousal"))
-        assert [r["fold"] for r in rows] == [0, 1]
-        for row in rows:
-            assert set(row) == {"fold", "valence", "arousal", "mean"}
-            assert row["mean"] == pytest.approx(
-                (row["valence"] + row["arousal"]) / 2)
-
-    def test_fold_zero_is_canonical_split(self):
-        recs, spec, fusion = small_setup(n_seq=4, t=40, k=16)
-        cfg = tr.TrainConfig(lr_init=1e-3, lr_min=1e-6, max_epochs=1,
-                             warmup_epochs=1, seed=5)
-        assignment = dat.make_folds([r.id for r in recs], 2, cfg.seed)
-        val_ids = {sid for sid, f in assignment.items() if f == 0}
-        _, direct, _ = tr.train_fold(recs, val_ids, fusion, spec, cfg,
-                                     targets=("valence",))
-        rows = tr.cross_validate(recs, 2, fusion, spec, cfg,
-                                 targets=("valence",))
-        assert rows[0]["valence"] == direct.ccc_valence
