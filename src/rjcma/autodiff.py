@@ -220,12 +220,12 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    # subgradient at exactly 0 is 0
-    mask = a.data > 0.0
-    out = np.where(mask, a.data, 0.0)
+    out = np.fmax(a.data, 0.0)
+    out += 0.0                                       # NaN and -0.0 give +0.0
     if not _recording(a):
         return _value(out)
-    return _make(out, (a,), lambda g: (g * mask,))
+    # subgradient at exactly 0 is 0
+    return _make(out, (a,), lambda g: (g * (out > 0.0),))
 
 
 def add_col_bias(x: Tensor, b: Tensor) -> Tensor:

@@ -101,7 +101,9 @@ def build_masks(win: Window):
 
 def window(rec: SequenceRecord, spec: WindowSpec) -> list[Window]:
     """Fixed-length sub-sequences at a fixed stride; short tails are padded by
-    repeating the last frame with padded labels masked."""
+    repeating the last frame with padded labels masked. An unpadded window's
+    features are views of the record's, so the record's arrays must not be
+    written while its windows are in use."""
     t, k, stride = rec.length, spec.K, spec.stride
     if t >= k:
         count = max(1, -(-(t - k) // stride) + 1)
@@ -118,7 +120,7 @@ def window(rec: SequenceRecord, spec: WindowSpec) -> list[Window]:
             if n_pad:
                 chunk = np.concatenate(
                     [chunk, np.repeat(chunk[:, -1:], n_pad, axis=1)], axis=1)
-            feats[m] = chunk.copy()
+            feats[m] = chunk
 
         def pad_labels(lab):
             chunk = lab[start:stop]

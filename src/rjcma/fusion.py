@@ -109,11 +109,13 @@ def attention_branch(xm: Tensor, joint: Tensor, w_j: Tensor, w_c: Tensor,
     windows whose C fits in `_BLOCK_BYTES` (one window at K=300, the whole
     batch at K=64), so a block's C is written and used while it is still in
     cache: C_b = tanh(X_b^T a_b) with a = W_j J / sqrt(d) (grouped so the
-    inner dimension is d_m), then P_b C_b with P = X W_c. A recorded node
-    keeps every window's C, and its backward writes the derivative through
-    tanh over it in place; otherwise every block reuses one buffer. If
-    `keep` is a dict, it receives copies of C ("corr") and of the attention
-    map H ("map").
+    inner dimension is d_m), then P_b C_b with P = X W_c. Every block reuses
+    one buffer, so a recorded node keeps one block of C, not the batch's:
+    its backward walks the blocks last-first, starts from the last block's
+    C, still in the buffer, and recomputes every other block's C there with
+    the forward's own calls, so values and gradients are those of a stored
+    C. If `keep` is a dict, it receives copies of C ("corr") and of the
+    attention map H ("map").
     """
     k = xm.cols
     if (xm.rows != w_j.rows or w_j.cols != joint.rows
@@ -133,20 +135,28 @@ def attention_branch(xm: Tensor, joint: Tensor, w_j: Tensor, w_c: Tensor,
     p = ad._mm(x, w_c.data)
     parents = (xm, joint, w_j, w_c, w_h)
     recording = ad._recording(*parents)
-    store = recording or keep is not None
-    c = np.empty((n if store else step, k, k))
+    c = np.empty((step, k, k))
+    corr = None if keep is None else np.empty((n, k, k))
     q = np.empty_like(p)
-    for blk in blocks:
-        cb = c[blk] if store else c[:blk.stop - blk.start]
+
+    def correlate(blk):
+        cb = c[:blk.stop - blk.start]
         np.matmul(x[blk].swapaxes(-1, -2), a[blk], out=cb)
         np.tanh(cb, out=cb)
+        return cb
+
+    for blk in blocks:
+        cb = correlate(blk)
+        if corr is not None:
+            corr[blk] = cb
         np.matmul(p[blk], cb, out=q[blk])
-    h = np.where(q > 0.0, q, 0.0)
+    h = np.fmax(q, 0.0)
+    h += 0.0                                         # relu: NaN and -0.0 give +0.0
     out = ad._mm(h, w_h.data)
     out += x
     out = out.reshape(xm.shape)
     if keep is not None:
-        keep["corr"] = ad._value(c.reshape(*xm.shape[:-2], k, k).copy())
+        keep["corr"] = ad._value(corr.reshape(*xm.shape[:-2], k, k))
         keep["map"] = ad._value(h.reshape(xm.shape).copy())
     if not recording:
         return ad._value(out)
@@ -160,8 +170,9 @@ def attention_branch(xm: Tensor, joint: Tensor, w_j: Tensor, w_c: Tensor,
         ga = np.empty_like(a)
         gx = np.empty_like(x)
         gc_buf = np.empty((step, k, k))
-        for blk in blocks:
-            cb = c[blk]
+        for i, blk in enumerate(reversed(blocks)):
+            # the last block's C is still in `c`
+            cb = correlate(blk) if i else c[:blk.stop - blk.start]
             gc = gc_buf[:blk.stop - blk.start]
             np.matmul(gq[blk], cb.swapaxes(-1, -2), out=gp[blk])
             np.matmul(p[blk].swapaxes(-1, -2), gq[blk], out=gc)   # d loss / d C

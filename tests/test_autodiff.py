@@ -138,6 +138,15 @@ class TestElementwise:
         ad.backward(ad.tensor_sum(ad.relu(x)), leaves=[x])
         assert x.grad[0, 0] == 0.0
 
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_relu_gives_positive_zero_for_nan_and_negative_zero(self, recorded):
+        # a NaN can only arrive as an op's result; -0.0 also as an input
+        x = ad._value(np.array([[-0.0, np.nan, 0.0, -1.0, 2.0]]))
+        x.requires_grad = recorded
+        out = ad.relu(x).data
+        np.testing.assert_array_equal(out, [[0.0, 0.0, 0.0, 0.0, 2.0]])
+        assert not np.signbit(out).any()
+
     def test_add_shape_mismatch(self):
         with pytest.raises(ad.DimensionError):
             ad.add(Tensor(np.ones((1, 2))), Tensor(np.ones((2, 1))))

@@ -94,6 +94,18 @@ class TestWindowing:
         assert not w.valence_mask[250:].any()
         assert not w.arousal_mask[250:].any()
 
+    def test_unpadded_window_shares_the_record_memory(self):
+        # T=250, K=200, stride 100: [0, 200) fits, [100, 250) is padded by 50
+        rec = make_record(250)
+        full, padded = dat.window(rec, dat.WindowSpec(K=200, stride=100))
+        assert (full.n_padded, padded.n_padded) == (0, 50)
+        for m in dat.MODALITIES:
+            assert np.shares_memory(full.features[m], rec.features[m])
+            assert not np.shares_memory(padded.features[m], rec.features[m])
+            np.testing.assert_array_equal(full.features[m], rec.features[m][:, :200])
+            np.testing.assert_array_equal(padded.features[m][:, :150],
+                                          rec.features[m][:, 100:])
+
     def test_coverage(self):
         for t in (37, 100, 301, 512):
             spec = dat.WindowSpec(K=100, stride=60)

@@ -179,7 +179,41 @@ class TestAttentionBranch:
         whole = run()
         monkeypatch.setattr(fu, "_BLOCK_BYTES", windows_per_block * 8 * 5 * 5)
         for got, want in zip(run(), whole):
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+            np.testing.assert_array_equal(got, want)
+
+    def test_recorded_node_keeps_one_block_of_correlation(self, monkeypatch):
+        # one window per block: the backward keeps one K x K block of C for
+        # the 3 windows (K=5 is no other dimension here), not one per window
+        monkeypatch.setattr(fu, "_BLOCK_BYTES", 8 * 5 * 5)
+        rng = np.random.default_rng(8)
+        arrays = [rng.normal(size=(3, 3, 5)), rng.normal(size=(3, 9, 5)),
+                  rng.normal(size=(3, 9)), rng.normal(size=(5, 5)), rng.normal(size=(5, 5))]
+        leaves = [Tensor.stack(a) if a.ndim == 3 else Tensor(a, requires_grad=True)
+                  for a in arrays]
+        out = fu.attention_branch(*leaves)
+        seen, todo, windows = set(), [out._backward_fn], 0
+        while todo:                                  # closures, transitively
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if getattr(obj, "__closure__", None):
+                todo += [cell.cell_contents for cell in obj.__closure__]
+            elif isinstance(obj, np.ndarray) and obj.shape[-2:] == (5, 5):
+                windows += obj.size // 25
+        assert windows <= 1
+
+    def test_nan_attention_input_gives_a_positive_zero_map(self):
+        # a NaN in W_c (as an op's result could carry) makes every entry of
+        # (X W_c) C NaN; the relu maps it to +0.0, so the branch passes X on
+        x, joint, w_j, w_c, w_h = random_branch_inputs(np.random.default_rng(9))
+        w_c[0, 0] = np.nan
+        keep = {}
+        out = fu.attention_branch(Tensor(x), Tensor(joint), Tensor(w_j),
+                                  ad._value(w_c), Tensor(w_h), keep)
+        np.testing.assert_array_equal(keep["map"].data, np.zeros_like(x))
+        assert not np.signbit(keep["map"].data).any()
+        np.testing.assert_array_equal(out.data, x)
 
     def test_backward_frees_the_saved_correlation(self):
         # the K x K blocks C live in the node's backward closure; once
