@@ -6,6 +6,15 @@ float64 tensors, TCN temporal modeling, the fusion block with its CCC loss,
 synthetic data generation, and a reproducible training harness + CLI.
 """
 
+import os
+import sys
+
+# OpenBLAS reads this when numpy loads it. With one BLAS thread per product,
+# `fusion.attention_branch` runs its K x K blocks on one thread per CPU; a
+# process that loaded numpy first keeps the BLAS threads it has.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .autodiff import Tensor, backward, grad_check
 from .data import SequenceRecord, SyntheticConfig, WindowSpec, generate_synthetic, window
 from .fusion import FusionConfig, init_params, rjcma_forward

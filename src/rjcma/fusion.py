@@ -9,8 +9,13 @@ MLP regression head producing one prediction per frame in [-1, 1].
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -93,9 +98,70 @@ def joint_representation(xa: Tensor, xv: Tensor, xt: Tensor,
     return ad.add_col_bias(ad.matmul(fc_w, stacked), fc_b)
 
 
-# bytes of K x K blocks (C, and its gradient in the backward pass) that one
-# step of `attention_branch` works on: small enough to stay in a core's L2
+# bytes of one block of K x K correlation C that a thread of
+# `attention_branch` works on (and, in the backward, of its gradient): small
+# enough to stay in a core's L2
 _BLOCK_BYTES = 1 << 20
+
+
+def _worker_count(cpus: int, env) -> int:
+    """Threads for the branch's K x K blocks: the CPUs this process may run
+    on, divided by the threads OpenBLAS runs each product on. OpenBLAS takes
+    that count from OPENBLAS_NUM_THREADS, else from OMP_NUM_THREADS, and
+    else runs one thread per CPU, which leaves one worker."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(env.get(name, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, cpus // blas)
+    return 1
+
+
+_WORKERS = _worker_count(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                         else os.cpu_count() or 1, os.environ)
+
+
+@cache
+def _executor(threads: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(threads, thread_name_prefix="rjcma-branch")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the pool's threads; it makes its own pool
+    os.register_at_fork(after_in_child=_executor.cache_clear)
+
+
+def _for_each(fn, items: list, buffers: list[tuple]) -> list:
+    """fn(item, *buffers[t]) once for every item, on one thread t per tuple
+    of buffers: t = 0 is this thread and runs items[0] first, the pool runs
+    the others. A thread takes the next item when it is free, so one that
+    other load on its CPU slows down takes fewer. Returns the items this
+    thread ran, in order. Waits for every thread before it returns or
+    raises."""
+    lock = threading.Lock()
+    rest = iter(items[1:])
+
+    def take():
+        with lock:
+            return next(rest, None)
+
+    def run(bufs, first=()):
+        ran = []
+        for item in itertools.chain(first, iter(take, None)):
+            fn(item, *bufs)
+            ran.append(item)
+        return ran
+
+    futures = [_executor(len(buffers) - 1).submit(run, bufs) for bufs in buffers[1:]]
+    try:
+        ran = run(buffers[0], items[:1])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+    return ran
 
 
 def attention_branch(xm: Tensor, joint: Tensor, w_j: Tensor, w_c: Tensor,
@@ -109,13 +175,17 @@ def attention_branch(xm: Tensor, joint: Tensor, w_j: Tensor, w_c: Tensor,
     windows whose C fits in `_BLOCK_BYTES` (one window at K=300, the whole
     batch at K=64), so a block's C is written and used while it is still in
     cache: C_b = tanh(X_b^T a_b) with a = W_j J / sqrt(d) (grouped so the
-    inner dimension is d_m), then P_b C_b with P = X W_c. Every block reuses
-    one buffer, so a recorded node keeps one block of C, not the batch's:
-    its backward walks the blocks last-first, starts from the last block's
-    C, still in the buffer, and recomputes every other block's C there with
+    inner dimension is d_m), then P_b C_b with P = X W_c. The blocks run on
+    `min(_WORKERS, blocks)` threads (`_for_each`), each reusing one
+    block-sized buffer of C; a block gets the same numpy calls on any
+    thread, so the bits do not depend on the thread count. A recorded node
+    keeps this thread's buffer only: its backward starts this thread on the
+    block whose C is still in it, and recomputes every other block's C with
     the forward's own calls, so values and gradients are those of a stored
-    C. If `keep` is a dict, it receives copies of C ("corr") and of the
-    attention map H ("map").
+    C. With more than one block, the backward also runs its shared-weight
+    GEMMs two at a time: dL/dW_h beside dL/dH W_h^T, and dL/dW_c beside
+    dL/dP W_c^T. If `keep` is a dict, it receives copies of C ("corr") and
+    of the attention map H ("map").
     """
     k = xm.cols
     if (xm.rows != w_j.rows or w_j.cols != joint.rows
@@ -130,26 +200,32 @@ def attention_branch(xm: Tensor, joint: Tensor, w_j: Tensor, w_c: Tensor,
     n = len(x)
     step = max(1, min(n, _BLOCK_BYTES // (8 * k * k)))
     blocks = [slice(i, min(i + step, n)) for i in range(0, n, step)]
+    threads = min(_WORKERS, len(blocks))
     a = np.matmul(w_j.data, jd)
     a *= s
     p = ad._mm(x, w_c.data)
     parents = (xm, joint, w_j, w_c, w_h)
     recording = ad._recording(*parents)
+    # this thread allocates every buffer; the pool's threads run numpy only
     c = np.empty((step, k, k))
     corr = None if keep is None else np.empty((n, k, k))
     q = np.empty_like(p)
 
-    def correlate(blk):
-        cb = c[:blk.stop - blk.start]
+    def correlate(blk, buf):
+        cb = buf[:blk.stop - blk.start]
         np.matmul(x[blk].swapaxes(-1, -2), a[blk], out=cb)
         np.tanh(cb, out=cb)
         return cb
 
-    for blk in blocks:
-        cb = correlate(blk)
+    def attend(blk, buf):
+        cb = correlate(blk, buf)
         if corr is not None:
             corr[blk] = cb
         np.matmul(p[blk], cb, out=q[blk])
+
+    # the last block this thread ran; its C is still in `c`
+    held = _for_each(attend, blocks,
+                     [(c,)] + [(np.empty_like(c),) for _ in range(threads - 1)])[-1]
     h = np.fmax(q, 0.0)
     h += 0.0                                         # relu: NaN and -0.0 give +0.0
     out = ad._mm(h, w_h.data)
@@ -161,18 +237,26 @@ def attention_branch(xm: Tensor, joint: Tensor, w_j: Tensor, w_c: Tensor,
     if not recording:
         return ad._value(out)
 
+    def at_once(*products):
+        # independent whole GEMMs on up to two threads, each the call that
+        # one thread would make (a GEMM split in slabs changes its bits)
+        _for_each(lambda f: f(), list(products), [()] * min(threads, len(products)))
+
     def bwd(g):
         g = g.reshape(x.shape)
-        gw_h = h.reshape(-1, k).T @ g.reshape(-1, k)
-        gq = ad._mm(g, w_h.data.T)
+        rows = (-1, k)                               # the batch's stacked rows
+        gw_h = np.empty((k, k))
+        gq = np.empty_like(x)
+        at_once(lambda: np.matmul(h.reshape(rows).T, g.reshape(rows), out=gw_h),
+                lambda: np.matmul(g.reshape(rows), w_h.data.T, out=gq.reshape(rows)))
         gq *= h > 0.0                                # relu, subgradient 0 at 0
         gp = np.empty_like(gq)
         ga = np.empty_like(a)
         gx = np.empty_like(x)
-        gc_buf = np.empty((step, k, k))
-        for i, blk in enumerate(reversed(blocks)):
-            # the last block's C is still in `c`
-            cb = correlate(blk) if i else c[:blk.stop - blk.start]
+
+        def backprop(blk, buf, gc_buf):
+            # only this thread runs `held`, first, with `c` as `buf`
+            cb = buf[:blk.stop - blk.start] if blk is held else correlate(blk, buf)
             gc = gc_buf[:blk.stop - blk.start]
             np.matmul(gq[blk], cb.swapaxes(-1, -2), out=gp[blk])
             np.matmul(p[blk].swapaxes(-1, -2), gq[blk], out=gc)   # d loss / d C
@@ -181,9 +265,16 @@ def attention_branch(xm: Tensor, joint: Tensor, w_j: Tensor, w_c: Tensor,
             gc *= cb                                 # d loss / d (X^T a)
             np.matmul(x[blk], gc, out=ga[blk])
             np.matmul(a[blk], gc.swapaxes(-1, -2), out=gx[blk])
+
+        _for_each(backprop, [held] + [blk for blk in blocks if blk is not held],
+                  [(c, np.empty_like(c))]
+                  + [(np.empty_like(c), np.empty_like(c)) for _ in range(threads - 1)])
+        gw_c = np.empty((k, k))
+        gx_p = np.empty_like(x)
+        at_once(lambda: np.matmul(x.reshape(rows).T, gp.reshape(rows), out=gw_c),
+                lambda: np.matmul(gp.reshape(rows), w_c.data.T, out=gx_p.reshape(rows)))
         gx += g
-        gx += ad._mm(gp, w_c.data.T)
-        gw_c = x.reshape(-1, k).T @ gp.reshape(-1, k)
+        gx += gx_p
         ga *= s                                      # d loss / d (W_j J)
         gw_j = np.matmul(ga, jd.swapaxes(-1, -2)).sum(axis=0)
         gj = np.matmul(w_j.data.T, ga)

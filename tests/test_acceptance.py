@@ -6,6 +6,7 @@ so the outcome is readable straight from the pytest log.
 
 import json
 import math
+import threading
 import time
 
 import numpy as np
@@ -285,3 +286,37 @@ def test_determinism(tmp_path, capsys):
     ok = all(a == b for a, b in zip(*artifacts))
     announce(capsys, "determinism", ok,
              "gen, train, cv and ablate reruns byte-identical")
+
+
+def test_train_run_is_the_same_for_any_worker_count(tmp_path, monkeypatch):
+    # K=20 windows in one-window blocks, so the branch's blocks are shared
+    # out across threads; the run directory must not depend on their number.
+    # Each block waits 1 ms first, so that the pool's threads take blocks at
+    # this small K too.
+    monkeypatch.setattr(fu, "_BLOCK_BYTES", 8 * 20 * 20)
+    for_each, threads = fu._for_each, set()
+
+    def sleepy(fn, items, buffers):
+        def slow(item, *bufs):
+            threads.add(threading.current_thread())
+            time.sleep(0.001)
+            fn(item, *bufs)
+        return for_each(slow, items, buffers)
+
+    monkeypatch.setattr(fu, "_for_each", sleepy)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(STRUCT_CFG))
+    assert cli.main(["gen", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(fu, "_WORKERS", workers)
+        out = tmp_path / f"runs-{workers}"
+        assert cli.main(["train", "--config", str(config),
+                         "--manifest", str(tmp_path / "data" / "manifest.json"),
+                         "--target", "valence", "--out", str(out)]) == 0
+        run = out / "run-0000"
+        runs[workers] = {p.name: p.read_bytes() for p in sorted(run.iterdir())}
+        assert len(threads) == workers
+        threads.clear()
+    assert "checkpoint.bin" in runs[1]
+    assert runs[1] == runs[2]

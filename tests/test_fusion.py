@@ -1,4 +1,9 @@
 import math
+import os
+import signal
+import threading
+import time
+import warnings
 import weakref
 
 import numpy as np
@@ -181,10 +186,61 @@ class TestAttentionBranch:
         for got, want in zip(run(), whole):
             np.testing.assert_array_equal(got, want)
 
-    def test_recorded_node_keeps_one_block_of_correlation(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_workers_leave_value_and_gradients_unchanged(self, monkeypatch, interleaved,
+                                                         workers):
+        # 5 one-window blocks on `workers` threads against one thread,
+        # recorded and in no_grad
+        monkeypatch.setattr(fu, "_BLOCK_BYTES", 8 * 5 * 5)
+        arrays = branch_batch(np.random.default_rng(10), 5)
+        monkeypatch.setattr(fu, "_WORKERS", 1)
+        serial = run_branch(arrays)
+        monkeypatch.setattr(fu, "_WORKERS", workers)
+        interleaved.clear()
+        for got, want in zip(run_branch(arrays), serial, strict=True):
+            np.testing.assert_array_equal(got, want)
+        # the blocks of the forward, the backward and the no_grad forward on
+        # `workers` threads, the backward's two pairs of GEMMs on up to two;
+        # every thread ran items, with buffers of its own
+        pair = min(workers, 2)
+        assert [len(b) for _, b in interleaved] == [workers, pair, workers, pair, workers]
+        for threads, buffers in interleaved:
+            assert len(threads) == len(buffers)
+            arrs = [b for bufs in buffers for b in bufs]
+            assert not any(np.shares_memory(u, v)
+                           for i, u in enumerate(arrs) for v in arrs[i + 1:])
+
+    def test_two_callers_at_once_get_the_serial_bits(self, monkeypatch, interleaved):
+        # two threads run the branch's forward and backward on the shared
+        # pool at the same time
+        monkeypatch.setattr(fu, "_BLOCK_BYTES", 8 * 5 * 5)
+        batches = [branch_batch(np.random.default_rng(seed), 5) for seed in (11, 12)]
+        monkeypatch.setattr(fu, "_WORKERS", 1)
+        serial = [run_branch(arrays) for arrays in batches]
+        monkeypatch.setattr(fu, "_WORKERS", 2)
+        results = [None, None]
+
+        def caller(i):
+            for _ in range(3):
+                results[i] = run_branch(batches[i])
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, serial, strict=True):
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_recorded_node_keeps_one_block_of_correlation(self, monkeypatch, workers):
         # one window per block: the backward keeps one K x K block of C for
         # the 3 windows (K=5 is no other dimension here), not one per window
+        # nor one per thread
         monkeypatch.setattr(fu, "_BLOCK_BYTES", 8 * 5 * 5)
+        monkeypatch.setattr(fu, "_WORKERS", workers)
         rng = np.random.default_rng(8)
         arrays = [rng.normal(size=(3, 3, 5)), rng.normal(size=(3, 9, 5)),
                   rng.normal(size=(3, 9)), rng.normal(size=(5, 5)), rng.normal(size=(5, 5))]
@@ -192,13 +248,15 @@ class TestAttentionBranch:
                   for a in arrays]
         out = fu.attention_branch(*leaves)
         seen, todo, windows = set(), [out._backward_fn], 0
-        while todo:                                  # closures, transitively
+        while todo:                                  # closures and lists, transitively
             obj = todo.pop()
             if id(obj) in seen:
                 continue
             seen.add(id(obj))
             if getattr(obj, "__closure__", None):
                 todo += [cell.cell_contents for cell in obj.__closure__]
+            elif isinstance(obj, (list, tuple)):
+                todo += obj
             elif isinstance(obj, np.ndarray) and obj.shape[-2:] == (5, 5):
                 windows += obj.size // 25
         assert windows <= 1
@@ -262,6 +320,137 @@ class TestAttentionBranch:
             {"x": x, "joint": joint, "w_j": w_j, "w_c": w_c, "w_h": w_h},
             h=1e-5, tol=1e-5)
         assert report.passed, report.errors
+
+
+@pytest.fixture
+def interleaved(monkeypatch):
+    """Make every thread of `fu._for_each` sleep before each item, so that
+    the pool's threads take items even at this test's tiny K; list, per
+    call, the threads that ran items and the buffers they were given."""
+    calls = []
+    for_each = fu._for_each
+
+    def sleepy(fn, items, buffers):
+        threads = set()
+
+        def slow(item, *bufs):
+            threads.add(threading.current_thread())
+            time.sleep(0.01)
+            fn(item, *bufs)
+
+        calls.append((threads, buffers))
+        return for_each(slow, items, buffers)
+
+    monkeypatch.setattr(fu, "_for_each", sleepy)
+    return calls
+
+
+def branch_batch(rng, n):
+    """X, J, W_j, W_c, W_h for a batch of n windows at d_m=3, d=9, K=5."""
+    return [rng.normal(size=(n, 3, 5)), rng.normal(size=(n, 9, 5)),
+            rng.normal(size=(3, 9)), rng.normal(size=(5, 5)), rng.normal(size=(5, 5))]
+
+
+def run_branch(arrays):
+    """The branch's value, kept C and map, the five gradients of a fixed
+    loss, and the no_grad value."""
+    leaves = [Tensor.stack(a) if a.ndim == 3 else Tensor(a) for a in arrays]
+    for t in leaves:
+        t.requires_grad = True
+    keep = {}
+    out = fu.attention_branch(*leaves, keep)
+    ad.backward(ad.tensor_sum(ad.mul(out, Tensor.stack(np.cos(arrays[0])))))
+    with ad.no_grad():
+        plain = fu.attention_branch(*leaves)
+    return ([out.data, keep["corr"].data, keep["map"].data] + [t.grad for t in leaves]
+            + [plain.data])
+
+
+class TestBranchThreads:
+    @pytest.mark.parametrize("cpus, env, workers", [
+        (2, {}, 1),                                  # OpenBLAS: one thread per CPU
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+        (3, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "8"}, 1),
+        (2, {"OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "two"}, 1),
+        (8, {"OMP_NUM_THREADS": "4,2"}, 1),
+    ])
+    def test_worker_count(self, cpus, env, workers):
+        assert fu._worker_count(cpus, env) == workers
+
+    @pytest.mark.parametrize("failing", [0, 5])
+    def test_a_failing_item_raises_after_every_thread_finished(self, failing):
+        # item 0 is this thread's own first item; item 5 goes to whichever
+        # of the three threads is free
+        finished = []
+
+        def fn(i):
+            if i == failing:
+                raise ValueError(f"item {i}")
+            time.sleep(0.05)
+            finished.append(i)
+
+        with pytest.raises(ValueError, match=f"item {failing}"):
+            fu._for_each(fn, list(range(6)), [(), (), ()])
+        assert sorted(finished) == [i for i in range(6) if i != failing]
+
+    def test_a_slow_thread_takes_fewer_items(self):
+        # the pool's thread sleeps on its first item; this thread runs the rest
+        me = threading.current_thread()
+
+        def fn(i):
+            time.sleep(0.01 if threading.current_thread() is me else 0.5)
+
+        ran = fu._for_each(fn, list(range(10)), [(), ()])
+        assert ran[0] == 0 and len(ran) == 9
+
+    def test_one_thread_runs_every_item_in_order(self):
+        seen = []
+        ran = fu._for_each(lambda i: seen.append((i, threading.current_thread())),
+                           [0, 1, 2], [()])
+        assert ran == [0, 1, 2]
+        assert seen == [(i, threading.current_thread()) for i in range(3)]
+
+    def test_buffers_go_to_one_thread_each(self):
+        # each thread passes its own tuple of buffers with every item
+        used = {}
+
+        def fn(i, buf):
+            used.setdefault(buf, set()).add(threading.current_thread().name)
+            time.sleep(0.01)
+
+        fu._for_each(fn, list(range(8)), [("a",), ("b",), ("c",)])
+        assert all(len(names) == 1 for names in used.values())
+        assert len({name for names in used.values() for name in names}) == len(used)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_on_its_own_pool(self):
+        # the child inherits the parent's pool object but none of its threads
+        fu._for_each(lambda i: None, [0, 1], [(), ()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)   # fork with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                fu._for_each(lambda i: time.sleep(0.01), [0, 1, 2], [(), ()])
+                code = 0
+            finally:
+                os._exit(code)
+        for _ in range(300):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done and os.waitstatus_to_exitcode(status) == 0
 
 
 class TestJointCrossCorrelation:
