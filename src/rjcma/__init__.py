@@ -10,7 +10,7 @@ import os
 import sys
 
 # OpenBLAS reads this when numpy loads it. With one BLAS thread per product,
-# `fusion.attention_branch` runs its K x K blocks on one thread per CPU; a
+# `fusion.attention_step` runs its K x K blocks on one thread per CPU; a
 # process that loaded numpy first keeps the BLAS threads it has.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

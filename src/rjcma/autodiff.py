@@ -333,7 +333,7 @@ class GradCheckReport:
 
     @property
     def max_error(self) -> float:
-        return max(self.errors.values()) if self.errors else 0.0
+        return float(np.max([0.0, *self.errors.values()]))   # NaN if any error is NaN
 
     @property
     def passed(self) -> bool:
@@ -368,9 +368,9 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
     # numeric passes do not need the graph
     with no_grad():
         for name, p in params.items():
-            worst = 0.0
             flat = p.data.ravel()
             aflat = analytic[name].ravel()
+            errs = np.empty(flat.size)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
@@ -379,7 +379,7 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
                 f_minus = f().item()
                 flat[i] = orig
                 numeric = (f_plus - f_minus) / (2.0 * h)
-                worst = max(worst, relative_error(aflat[i], numeric))
-            errors[name] = worst
+                errs[i] = relative_error(aflat[i], numeric)
+            errors[name] = float(errs.max())        # NaN if any error is NaN
     zero_grads(params.values())
     return GradCheckReport(errors, tol)

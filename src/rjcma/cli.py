@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 import traceback
 from dataclasses import asdict, dataclass, fields
@@ -51,10 +52,11 @@ class GradcheckConfig:
     seed: int = 2
 
     def __post_init__(self):
-        # each message starts with the offending field and its value
+        # each message starts with the offending field and its value; the
+        # range check is written so that NaN fails it
         for name in ("d_m", "K", "iterations", "h", "tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name}={getattr(self, name)} is not positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}={getattr(self, name)} is not positive and finite")
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} is negative")
 

@@ -58,6 +58,9 @@ class WindowSpec:
     stride: int = 200
 
     def __post_init__(self):
+        # each message starts with the offending field and its value
+        if self.K < 1:
+            raise ValueError(f"K={self.K} is not positive")
         if not (1 <= self.stride <= self.K):
             raise ValueError(f"stride={self.stride} is outside [1, K={self.K}]")
 

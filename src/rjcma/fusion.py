@@ -1,21 +1,22 @@
 """Recursive joint cross-modal attention over three temporal feature streams.
 
-The block fuses audio/visual/text feature matrices X_m (d_m x K) by
-computing a joint representation, per-modality joint cross-correlation
-attention with a residual connection, and recursing the attended features
-back through the block. The concatenated attended features feed a small
-MLP regression head producing one prediction per frame in [-1, 1].
+The block stacks audio/visual/text feature matrices X_m (d_m x K) into one
+(d x K) stack Y, computes a joint representation of Y, attends each
+modality's rows by joint cross-correlation with a residual connection, and
+recurses the attended stack back through the block. The last stack feeds a
+small MLP regression head producing one prediction per frame in [-1, 1].
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
@@ -83,32 +84,27 @@ def expected_param_count(config: FusionConfig) -> int:
 
 @dataclass
 class FusionOutput:
-    attended: Tensor            # d x K, concatenated attended features
+    attended: Tensor            # d x K, the attended stack
     predictions: Tensor         # 1 x K, per-frame value in [-1, 1]
     intermediates: list = field(default_factory=list)
 
 
-def joint_representation(xa: Tensor, xv: Tensor, xt: Tensor,
-                         fc_w: Tensor, fc_b: Tensor) -> Tensor:
-    """Column-wise FC over the vertical concatenation of the three streams."""
-    if not (xa.cols == xv.cols == xt.cols):
-        raise ad.DimensionError(
-            f"frame counts differ: {xa.cols}, {xv.cols}, {xt.cols}")
-    stacked = ad.concat_rows([xa, xv, xt])
-    return ad.add_col_bias(ad.matmul(fc_w, stacked), fc_b)
+def joint_representation(y: Tensor, fc_w: Tensor, fc_b: Tensor) -> Tensor:
+    """Column-wise FC over the (B, d, K) stack of the three streams."""
+    return ad.add_col_bias(ad.matmul(fc_w, y), fc_b)
 
 
 # bytes of one block of K x K correlation C that a thread of
-# `attention_branch` works on (and, in the backward, of its gradient): small
+# `attention_step` works on (and, in the backward, of its gradient): small
 # enough to stay in a core's L2
 _BLOCK_BYTES = 1 << 20
 
 
 def _worker_count(cpus: int, env) -> int:
-    """Threads for the branch's K x K blocks: the CPUs this process may run
-    on, divided by the threads OpenBLAS runs each product on. OpenBLAS takes
-    that count from OPENBLAS_NUM_THREADS, else from OMP_NUM_THREADS, and
-    else runs one thread per CPU, which leaves one worker."""
+    """Threads for the K x K work of `attention_step`: the CPUs this process
+    may run on, divided by the threads OpenBLAS runs each product on. OpenBLAS
+    takes that count from OPENBLAS_NUM_THREADS, else from OMP_NUM_THREADS,
+    and else runs one thread per CPU, which leaves one worker."""
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             blas = int(env.get(name, ""))
@@ -125,7 +121,7 @@ _WORKERS = _worker_count(len(os.sched_getaffinity(0)) if hasattr(os, "sched_geta
 
 @cache
 def _executor(threads: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(threads, thread_name_prefix="rjcma-branch")
+    return ThreadPoolExecutor(threads, thread_name_prefix="rjcma-step")
 
 
 if hasattr(os, "register_at_fork"):
@@ -164,121 +160,130 @@ def _for_each(fn, items: list, buffers: list[tuple]) -> list:
     return ran
 
 
-def attention_branch(xm: Tensor, joint: Tensor, w_j: Tensor, w_c: Tensor,
-                     w_h: Tensor, keep: dict | None = None) -> Tensor:
-    """One modality's attended features relu((X W_c) C) W_h + X, where
-    C = tanh(X^T (W_j J / sqrt(d))), as one graph node.
+def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor],
+                   w_h: list[Tensor], keep: list | None = None) -> Tensor:
+    """One recursion step over the (B, d, K) stack Y of every modality, as
+    one graph node. Modality m is the next `w_j[m].rows` rows X_m of Y; its
+    attended rows are relu((X_m W_c[m]) C_m) W_h[m] + X_m, where
+    C_m = tanh(X_m^T (W_j[m] J / sqrt(d))).
 
-    The products with the shared K x K weights (`X W_c`, `H W_h`, their
-    weight gradients and the gradients through them) are one GEMM over the
-    stacked rows of the batch. The K x K work walks the batch in blocks of
-    windows whose C fits in `_BLOCK_BYTES` (one window at K=300, the whole
-    batch at K=64), so a block's C is written and used while it is still in
-    cache: C_b = tanh(X_b^T a_b) with a = W_j J / sqrt(d) (grouped so the
-    inner dimension is d_m), then P_b C_b with P = X W_c. The blocks run on
-    `min(_WORKERS, blocks)` threads (`_for_each`), each reusing one
-    block-sized buffer of C; a block gets the same numpy calls on any
-    thread, so the bits do not depend on the thread count. A recorded node
-    keeps this thread's buffer only: its backward starts this thread on the
-    block whose C is still in it, and recomputes every other block's C with
-    the forward's own calls, so values and gradients are those of a stored
-    C. With more than one block, the backward also runs its shared-weight
-    GEMMs two at a time: dL/dW_h beside dL/dH W_h^T, and dL/dW_c beside
-    dL/dP W_c^T. If `keep` is a dict, it receives copies of C ("corr") and
-    of the attention map H ("map").
+    Each product with a shared K x K weight, and each of their gradients, is
+    one GEMM over the batch's stacked rows. The K x K work runs per
+    (modality, block of windows whose C fits in `_BLOCK_BYTES`) item, while
+    the block's C is in cache, all items on one `_for_each`; each thread
+    reuses one buffer of C, and an item gets the same numpy calls on any
+    thread. A recorded node keeps this thread's buffer only: the backward
+    starts with the item whose C is still in it and recomputes the others'.
+    A `keep` list receives a dict per modality of copies of its C ("corr"),
+    attention map H ("map") and attended rows ("attended").
     """
-    k = xm.cols
-    if (xm.rows != w_j.rows or w_j.cols != joint.rows
-            or xm.shape[:-2] + (k,) != joint.shape[:-2] + (joint.cols,)
-            or w_c.shape != (k, k) or w_h.shape != (k, k)):
-        raise ad.DimensionError(
-            f"attention branch shapes: X {xm.shape}, J {joint.shape}, "
-            f"W_j {w_j.shape}, W_c {w_c.shape}, W_h {w_h.shape}")
+    k = y.cols
+    if (sum(w.rows for w in w_j) != y.rows or not len(w_j) == len(w_c) == len(w_h)
+            or y.shape[:-2] + (k,) != joint.shape[:-2] + (joint.cols,)
+            or any(w.shape[1:] != (joint.rows,) for w in w_j)
+            or any(w.shape != (k, k) for w in (*w_c, *w_h))):
+        raise ad.DimensionError(f"attention step shapes: Y {y.shape}, J {joint.shape}, "
+                                f"W {[w.shape for w in (*w_j, *w_c, *w_h)]}")
     s = 1.0 / math.sqrt(joint.rows)
-    x = xm.data.reshape(-1, xm.rows, k)            # a 2-D input is a batch of one
+    yd = y.data.reshape(-1, y.rows, k)             # a 2-D input is a batch of one
     jd = joint.data.reshape(-1, joint.rows, k)
-    n = len(x)
+    n = len(yd)
+    splits = np.cumsum([w.rows for w in w_j])[:-1]
+    xs = np.split(yd, splits, axis=1)              # views of each modality's rows
     step = max(1, min(n, _BLOCK_BYTES // (8 * k * k)))
-    blocks = [slice(i, min(i + step, n)) for i in range(0, n, step)]
-    threads = min(_WORKERS, len(blocks))
-    a = np.matmul(w_j.data, jd)
-    a *= s
-    p = ad._mm(x, w_c.data)
-    parents = (xm, joint, w_j, w_c, w_h)
-    recording = ad._recording(*parents)
+    items = [(m, slice(i, min(i + step, n))) for m in range(len(xs)) for i in range(0, n, step)]
+    # items of less than half a block of C run on this thread alone: on 2
+    # CPUs, the hand-off to the pool cost more than it gained below ~400 KB
+    threads = min(_WORKERS, len(items)) if 2 * 8 * k * k * step >= _BLOCK_BYTES else 1
+    a = [np.matmul(w.data, jd) for w in w_j]
+    for am in a:
+        am *= s
+    p = [ad._mm(x, w.data) for x, w in zip(xs, w_c)]
+    parents = (y, joint, *w_j, *w_c, *w_h)
     # this thread allocates every buffer; the pool's threads run numpy only
     c = np.empty((step, k, k))
-    corr = None if keep is None else np.empty((n, k, k))
-    q = np.empty_like(p)
+    corr = None if keep is None else np.empty((len(xs), n, k, k))
+    h = [np.empty_like(x) for x in xs]
 
-    def correlate(blk, buf):
+    def correlate(item, buf):
+        m, blk = item
         cb = buf[:blk.stop - blk.start]
-        np.matmul(x[blk].swapaxes(-1, -2), a[blk], out=cb)
+        np.matmul(xs[m][blk].swapaxes(-1, -2), a[m][blk], out=cb)
         np.tanh(cb, out=cb)
         return cb
 
-    def attend(blk, buf):
-        cb = correlate(blk, buf)
+    def attend(item, buf):
+        m, blk = item
+        cb = correlate(item, buf)
         if corr is not None:
-            corr[blk] = cb
-        np.matmul(p[blk], cb, out=q[blk])
+            corr[m][blk] = cb
+        hb = h[m][blk]
+        np.matmul(p[m][blk], cb, out=hb)
+        np.fmax(hb, 0.0, out=hb)
+        hb += 0.0                                    # relu: NaN and -0.0 give +0.0
 
-    # the last block this thread ran; its C is still in `c`
-    held = _for_each(attend, blocks,
+    # the last item this thread ran; its C is still in `c`
+    held = _for_each(attend, items,
                      [(c,)] + [(np.empty_like(c),) for _ in range(threads - 1)])[-1]
-    h = np.fmax(q, 0.0)
-    h += 0.0                                         # relu: NaN and -0.0 give +0.0
-    out = ad._mm(h, w_h.data)
-    out += x
-    out = out.reshape(xm.shape)
+    out = np.empty_like(yd)
+    for x, hm, w, om in zip(xs, h, w_h, np.split(out, splits, axis=1)):
+        np.add(ad._mm(hm, w.data), x, out=om)
+    out = out.reshape(y.shape)
     if keep is not None:
-        keep["corr"] = ad._value(corr.reshape(*xm.shape[:-2], k, k))
-        keep["map"] = ad._value(h.reshape(xm.shape).copy())
-    if not recording:
+        keep += [{"corr": ad._value(cm.reshape(*y.shape[:-2], k, k)), "attended": ad._value(om),
+                  "map": ad._value(hm.reshape(*y.shape[:-2], -1, k).copy())}
+                 for cm, hm, om in zip(corr, h, np.split(out, splits, axis=-2))]
+    if not ad._recording(*parents):
         return ad._value(out)
 
-    def at_once(*products):
-        # independent whole GEMMs on up to two threads, each the call that
-        # one thread would make (a GEMM split in slabs changes its bits)
-        _for_each(lambda f: f(), list(products), [()] * min(threads, len(products)))
+    def at_once(products):
+        # independent GEMMs (left, right, out) on the pool, each whole (a
+        # GEMM split in slabs changes its bits)
+        _for_each(lambda lro: np.matmul(lro[0], lro[1], out=lro[2]), products,
+                  [()] * min(threads, len(products)))
 
     def bwd(g):
-        g = g.reshape(x.shape)
+        gs = [np.ascontiguousarray(gm) for gm in np.split(g.reshape(yd.shape), splits, axis=1)]
         rows = (-1, k)                               # the batch's stacked rows
-        gw_h = np.empty((k, k))
-        gq = np.empty_like(x)
-        at_once(lambda: np.matmul(h.reshape(rows).T, g.reshape(rows), out=gw_h),
-                lambda: np.matmul(g.reshape(rows), w_h.data.T, out=gq.reshape(rows)))
-        gq *= h > 0.0                                # relu, subgradient 0 at 0
-        gp = np.empty_like(gq)
-        ga = np.empty_like(a)
-        gx = np.empty_like(x)
+        gw_h, gw_c = ([np.empty((k, k)) for _ in xs] for _ in range(2))
+        gq, gp, ga = ([np.empty_like(x) for x in xs] for _ in range(3))
+        gy = np.empty_like(yd)
+        gx = np.split(gy, splits, axis=1)
+        at_once([lro for gm, hm, w, gwm, gqm in zip(gs, h, w_h, gw_h, gq)
+                 for lro in ((hm.reshape(rows).T, gm.reshape(rows), gwm),
+                             (gm.reshape(rows), w.data.T, gqm.reshape(rows)))])
+        for gqm, hm in zip(gq, h):
+            gqm *= hm > 0.0                          # relu, subgradient 0 at 0
 
-        def backprop(blk, buf, gc_buf):
+        def backprop(item, buf, gc_buf):
             # only this thread runs `held`, first, with `c` as `buf`
-            cb = buf[:blk.stop - blk.start] if blk is held else correlate(blk, buf)
+            m, blk = item
+            cb = buf[:blk.stop - blk.start] if item is held else correlate(item, buf)
             gc = gc_buf[:blk.stop - blk.start]
-            np.matmul(gq[blk], cb.swapaxes(-1, -2), out=gp[blk])
-            np.matmul(p[blk].swapaxes(-1, -2), gq[blk], out=gc)   # d loss / d C
+            np.matmul(gq[m][blk], cb.swapaxes(-1, -2), out=gp[m][blk])
+            np.matmul(p[m][blk].swapaxes(-1, -2), gq[m][blk], out=gc)   # d loss / d C
             np.multiply(cb, cb, out=cb)
             np.subtract(1.0, cb, out=cb)
             gc *= cb                                 # d loss / d (X^T a)
-            np.matmul(x[blk], gc, out=ga[blk])
-            np.matmul(a[blk], gc.swapaxes(-1, -2), out=gx[blk])
+            np.matmul(xs[m][blk], gc, out=ga[m][blk])
+            np.matmul(a[m][blk], gc.swapaxes(-1, -2), out=gx[m][blk])
 
-        _for_each(backprop, [held] + [blk for blk in blocks if blk is not held],
+        _for_each(backprop, [held] + [item for item in items if item is not held],
                   [(c, np.empty_like(c))]
                   + [(np.empty_like(c), np.empty_like(c)) for _ in range(threads - 1)])
-        gw_c = np.empty((k, k))
-        gx_p = np.empty_like(x)
-        at_once(lambda: np.matmul(x.reshape(rows).T, gp.reshape(rows), out=gw_c),
-                lambda: np.matmul(gp.reshape(rows), w_c.data.T, out=gx_p.reshape(rows)))
-        gx += g
-        gx += gx_p
-        ga *= s                                      # d loss / d (W_j J)
-        gw_j = np.matmul(ga, jd.swapaxes(-1, -2)).sum(axis=0)
-        gj = np.matmul(w_j.data.T, ga)
-        return gx.reshape(xm.shape), gj.reshape(joint.shape), gw_j, gw_c, gw_h
+        # dL/dP W_c^T goes to gq's buffers, which are free now
+        at_once([lro for x, gpm, w, gwm, gxm in zip(xs, gp, w_c, gw_c, gq)
+                 for lro in ((x.reshape(rows).T, gpm.reshape(rows), gwm),
+                             (gpm.reshape(rows), w.data.T, gxm.reshape(rows)))])
+        gy += g.reshape(yd.shape)
+        for gxm, gxpm, gam in zip(gx, gq, ga):
+            gxm += gxpm
+            gam *= s                                 # d loss / d (W_j J)
+        # dL/dJ summed in modality order (a, then v, then t), in place
+        gj = reduce(operator.iadd, (np.matmul(w.data.T, gam) for w, gam in zip(w_j, ga)))
+        return (gy.reshape(y.shape), gj.reshape(joint.shape),
+                *(np.matmul(gam, jd.swapaxes(-1, -2)).sum(axis=0) for gam in ga),
+                *gw_c, *gw_h)
 
     return ad._make(out, parents, bwd)
 
@@ -296,35 +301,24 @@ def rjcma_forward(xa: Tensor, xv: Tensor, xt: Tensor,
                   collect_intermediates: bool = False) -> FusionOutput:
     """Run the full recursive fusion block and regression head.
 
-    Each recursion step recomputes the joint representation from the
-    current (attended) features through the shared FC, then applies the
-    step's own attention weights per modality.
+    The three streams are stacked once; each recursion step recomputes the
+    joint representation from the current (attended) stack through the
+    shared FC, then attends every modality with the step's own weights.
     """
-    feats = {"a": xa, "v": xv, "t": xt}
-    for m in MODALITIES:
-        expected = (config.dim(m), config.K)
-        if feats[m].shape[-2:] != expected:
+    for m, x in zip(MODALITIES, (xa, xv, xt)):
+        if x.shape[-2:] != (config.dim(m), config.K):
             raise ad.DimensionError(
-                f"modality {m} shape {feats[m].shape}, expected {expected}")
+                f"modality {m} shape {x.shape}, expected {(config.dim(m), config.K)}")
 
+    y = ad.concat_rows([xa, xv, xt])
     intermediates = []
     for i in range(1, config.iterations + 1):
-        joint = joint_representation(feats["a"], feats["v"], feats["t"],
-                                     params["fc_joint/w"], params["fc_joint/b"])
-        step = {}
-        nxt = {}
-        for m in MODALITIES:
-            keep = {} if collect_intermediates else None
-            nxt[m] = attention_branch(feats[m], joint, params[f"iter{i}/W_j{m}"],
-                                      params[f"iter{i}/W_c{m}"],
-                                      params[f"iter{i}/W_h{m}"], keep)
-            if collect_intermediates:
-                step[m] = {**keep, "attended": nxt[m]}
-        feats = nxt
+        joint = joint_representation(y, params["fc_joint/w"], params["fc_joint/b"])
+        keep = [] if collect_intermediates else None
+        y = attention_step(y, joint, *([params[f"iter{i}/{w}{m}"] for m in MODALITIES]
+                                       for w in ("W_j", "W_c", "W_h")), keep)
         if collect_intermediates:
-            intermediates.append(step)
+            intermediates.append(dict(zip(MODALITIES, keep)))
 
-    attended = ad.concat_rows([feats["a"], feats["v"], feats["t"]])
-    predictions = predict_head(attended, params)
-    return FusionOutput(attended=attended, predictions=predictions,
+    return FusionOutput(attended=y, predictions=predict_head(y, params),
                         intermediates=intermediates)

@@ -289,10 +289,10 @@ def test_determinism(tmp_path, capsys):
 
 
 def test_train_run_is_the_same_for_any_worker_count(tmp_path, monkeypatch):
-    # K=20 windows in one-window blocks, so the branch's blocks are shared
-    # out across threads; the run directory must not depend on their number.
-    # Each block waits 1 ms first, so that the pool's threads take blocks at
-    # this small K too.
+    # K=20 windows in one-window blocks, so the attention steps' blocks are
+    # shared out across threads; the run directory must not depend on their
+    # number. Each block waits 1 ms first, so that the pool's threads take
+    # blocks at this small K too.
     monkeypatch.setattr(fu, "_BLOCK_BYTES", 8 * 20 * 20)
     for_each, threads = fu._for_each, set()
 

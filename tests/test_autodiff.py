@@ -276,6 +276,23 @@ class TestGradCheck:
         report = ad.grad_check(lambda: ad.mul(c, c), {"x": x})
         assert report.passed
 
+    def test_nan_gradient_entry_fails(self):
+        # a node whose backward returns NaN for one entry: its relative error
+        # is NaN, which must fail the check rather than drop out of the max
+        x = Tensor([[1.0, 2.0, 3.0]], requires_grad=True)
+
+        def f():
+            out = x.data * x.data
+            if not ad._recording(x):
+                return ad.tensor_sum(ad._value(out))
+            return ad.tensor_sum(ad._make(out, (x,), lambda g: (g * 2.0 * x.data
+                                                                 * [[1.0, np.nan, 1.0]],)))
+
+        report = ad.grad_check(f, {"x": x})
+        assert np.isnan(report.errors["x"]) and np.isnan(report.max_error)
+        assert not report.passed
+        assert report.lines() == ["x  max rel err nan  FAIL"]
+
     def test_restores_requires_grad(self):
         x = Tensor([[2.0]], requires_grad=True)
         ad.grad_check(lambda: ad.mul(x, x), {"x": x})

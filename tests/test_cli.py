@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rjcma import autodiff as ad
 from rjcma import checkpoint as ck
@@ -462,7 +466,10 @@ class TestGradcheck:
     @pytest.mark.parametrize("setting, message", [
         ("gradcheck.K=abc", "gradcheck.K must be int, got 'abc'"),
         ("gradcheck.iterations=0", "gradcheck.iterations=0 is not positive"),
-    ], ids=["K-not-int", "zero-iterations"])
+        ("gradcheck.h=NaN", "gradcheck.h=nan is not positive and finite"),
+        ("gradcheck.tol=Infinity", "gradcheck.tol=inf is not positive and finite"),
+        ("gradcheck.h=Infinity", "gradcheck.h=inf is not positive and finite"),
+    ], ids=["K-not-int", "zero-iterations", "nan-h", "inf-tol", "inf-h"])
     def test_bad_section_value_exits_with_usage_error(self, capsys, setting, message):
         assert cli.main(["gradcheck", "--set", setting]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
@@ -529,3 +536,68 @@ class TestRunDirs:
         second = cli.new_run_dir(base)
         assert first != second
         assert marker.read_text() == "keep"
+
+
+class _Validated(BaseException):
+    """Raised where a command would start work: its config passed every check.
+    A BaseException, so that `cli.main` does not report it as an internal
+    error."""
+
+
+def _stop(*_args, **_kwargs):
+    raise _Validated
+
+
+def _config_keys() -> list[str]:
+    """Every key of the default config: each top-level key and, dotted, each
+    key of a section."""
+    keys = []
+    for key, value in cli.default_config().items():
+        keys.append(key)
+        keys += [f"{key}.{sub}" for sub in value] if isinstance(value, dict) else []
+    return keys
+
+
+@pytest.fixture(scope="module")
+def smoke_config_path(tmp_path_factory):
+    """`smoke_config` for a module: a hypothesis test takes no function-scoped
+    fixture, since its examples would share one."""
+    path = tmp_path_factory.mktemp("validation") / "config.json"
+    path.write_text(json.dumps(SMOKE))
+    return str(path)
+
+
+# strings, lists and objects no key takes; the examples below add NaN,
+# +-inf, 0, -1, bools and null
+JSON_VALUES = st.one_of(st.text(max_size=4), st.lists(st.integers(), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@settings(max_examples=8, deadline=None, database=None, derandomize=True)
+@given(value=JSON_VALUES)
+def test_every_config_key_takes_a_value_or_is_rejected_by_name(smoke_config_path, value):
+    # with `value` at any one key, the command that reads the key stops
+    # where it would start work, or exits 1 or 2 with a message naming the
+    # key; never exit 4 or a traceback. gradcheck reads its own section, and
+    # cv every other key. The stops are patched, so no drawn value
+    # generates data, trains or allocates anything
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "new_run_dir", _stop)
+        mp.setattr(cli, "run_gradcheck", _stop)
+        for key in _config_keys():
+            argv = ["gradcheck" if key.startswith("gradcheck") else "cv", "--config",
+                    smoke_config_path, "--set", f"{key}={json.dumps(value)}"]
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(argv)
+            except _Validated:
+                continue
+            assert code in (cli.EXIT_USAGE, cli.EXIT_DATA), (argv, code, err.getvalue())
+            assert key in err.getvalue() and "Traceback" not in err.getvalue(), \
+                (argv, err.getvalue())
+
+
+for _value in (math.nan, math.inf, -math.inf, 0, -1, 0.0, -1.0, True, False, None):
+    test_every_config_key_takes_a_value_or_is_rejected_by_name = example(value=_value)(
+        test_every_config_key_takes_a_value_or_is_rejected_by_name)

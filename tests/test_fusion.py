@@ -80,14 +80,14 @@ class TestJointRepresentation:
         x = make_inputs(cfg)
         fc_w = Tensor(np.eye(6))
         fc_b = Tensor(np.zeros((6, 1)))
-        joint = fu.joint_representation(x["a"], x["v"], x["t"], fc_w, fc_b)
+        joint = fu.joint_representation(stack(x), fc_w, fc_b)
         assert joint.shape == (6, 3)
 
     def test_identity_fc_gives_raw_concat(self):
         cfg = fu.FusionConfig(2, 2, 2, K=3)
         x = make_inputs(cfg)
-        joint = fu.joint_representation(x["a"], x["v"], x["t"],
-                                        Tensor(np.eye(6)), Tensor(np.zeros((6, 1))))
+        joint = fu.joint_representation(stack(x), Tensor(np.eye(6)),
+                                        Tensor(np.zeros((6, 1))))
         expected = np.concatenate(
             [x[m].data for m in ("a", "v", "t")], axis=0)
         np.testing.assert_array_equal(joint.data, expected)
@@ -101,8 +101,8 @@ class TestJointRepresentation:
         xs = [rng.normal(size=(d, 4)) for d in (2, 3, 2)]
 
         def run(arrs):
-            return fu.joint_representation(Tensor(arrs[0]), Tensor(arrs[1]),
-                                           Tensor(arrs[2]), fc_w, fc_b).data
+            return fu.joint_representation(ad.concat_rows([Tensor(a) for a in arrs]),
+                                           fc_w, fc_b).data
 
         base = run(xs)
         bumped = [x.copy() for x in xs]
@@ -112,17 +112,34 @@ class TestJointRepresentation:
         np.testing.assert_array_equal(after[:, 1:], base[:, 1:])
 
     def test_frame_count_mismatch(self):
+        # streams of different frame counts make no stack to take J over
         with pytest.raises(ad.DimensionError):
-            fu.joint_representation(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))),
-                                    Tensor(np.ones((2, 3))),
-                                    Tensor(np.eye(6)), Tensor(np.zeros((6, 1))))
+            fu.joint_representation(
+                ad.concat_rows([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))),
+                                Tensor(np.ones((2, 3)))]),
+                Tensor(np.eye(6)), Tensor(np.zeros((6, 1))))
+
+
+def stack(x):
+    """The (d, K) stack of make_inputs' three streams."""
+    return ad.concat_rows([x[m] for m in fu.MODALITIES])
+
+
+def attend_one(xm, joint, w_j, w_c, w_h, keep=None):
+    """attention_step over a single modality, whose rows are all of Y; a
+    given `keep` dict receives that modality's C, map and attended rows."""
+    kept = None if keep is None else []
+    out = fu.attention_step(xm, joint, [w_j], [w_c], [w_h], kept)
+    if keep is not None:
+        keep.update(*kept)
+    return out
 
 
 def branch(xm, joint, w_j, w_c, w_h):
-    """attention_branch on plain arrays: (output, C, H) as arrays."""
+    """A one-modality step on plain arrays: (output, C, H) as arrays."""
     keep = {}
-    out = fu.attention_branch(Tensor(xm), Tensor(joint), Tensor(w_j),
-                              Tensor(w_c), Tensor(w_h), keep)
+    out = attend_one(Tensor(xm), Tensor(joint), Tensor(w_j),
+                     Tensor(w_c), Tensor(w_h), keep)
     return out.data, keep["corr"].data, keep["map"].data
 
 
@@ -133,6 +150,8 @@ def random_branch_inputs(rng, dm=3, d=9, k=5):
 
 
 class TestAttentionBranch:
+    """attention_step over one modality: that modality's branch."""
+
     def test_matches_numpy_reference(self):
         # relu((X W_c) tanh(X^T W_j J / sqrt(d))) W_h + X, per window of a batch
         rng = np.random.default_rng(3)
@@ -140,8 +159,8 @@ class TestAttentionBranch:
         js = rng.normal(size=(3, 12, 6))
         w_j, w_c, w_h = (rng.normal(size=s) for s in ((4, 12), (6, 6), (6, 6)))
         keep = {}
-        out = fu.attention_branch(Tensor.stack(xs), Tensor.stack(js), Tensor(w_j),
-                                  Tensor(w_c), Tensor(w_h), keep)
+        out = attend_one(Tensor.stack(xs), Tensor.stack(js), Tensor(w_j),
+                         Tensor(w_c), Tensor(w_h), keep)
         assert out.shape == keep["map"].shape == (3, 4, 6)
         assert keep["corr"].shape == (3, 6, 6)
         for b in range(3):
@@ -155,10 +174,10 @@ class TestAttentionBranch:
     def test_no_grad_matches_recorded_forward(self):
         rng = np.random.default_rng(5)
         args = [Tensor(a, requires_grad=True) for a in random_branch_inputs(rng)]
-        recorded = fu.attention_branch(*args)
+        recorded = attend_one(*args)
         with ad.no_grad():
             keep = {}
-            plain = fu.attention_branch(*args, keep)
+            plain = attend_one(*args, keep)
         assert recorded._backward_fn is not None and plain._backward_fn is None
         np.testing.assert_array_equal(plain.data, recorded.data)
         assert keep["corr"].shape == (5, 5)
@@ -177,7 +196,7 @@ class TestAttentionBranch:
             for t in leaves:
                 t.requires_grad = True
             keep = {}
-            out = fu.attention_branch(*leaves, keep)
+            out = attend_one(*leaves, keep)
             ad.backward(ad.tensor_sum(ad.mul(out, Tensor.stack(np.cos(arrays[0])))))
             return [out.data, keep["corr"].data] + [t.grad for t in leaves]
 
@@ -189,21 +208,21 @@ class TestAttentionBranch:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_workers_leave_value_and_gradients_unchanged(self, monkeypatch, interleaved,
                                                          workers):
-        # 5 one-window blocks on `workers` threads against one thread,
-        # recorded and in no_grad
+        # 3 modalities of 3 one-window blocks on `workers` threads against
+        # one thread, recorded and in no_grad
         monkeypatch.setattr(fu, "_BLOCK_BYTES", 8 * 5 * 5)
-        arrays = branch_batch(np.random.default_rng(10), 5)
+        arrays = step_batch(np.random.default_rng(10), 3)
         monkeypatch.setattr(fu, "_WORKERS", 1)
-        serial = run_branch(arrays)
+        serial = run_step(arrays)
         monkeypatch.setattr(fu, "_WORKERS", workers)
         interleaved.clear()
-        for got, want in zip(run_branch(arrays), serial, strict=True):
+        for got, want in zip(run_step(arrays), serial, strict=True):
             np.testing.assert_array_equal(got, want)
-        # the blocks of the forward, the backward and the no_grad forward on
-        # `workers` threads, the backward's two pairs of GEMMs on up to two;
+        # the blocks of the forward, the backward and the no_grad forward,
+        # and the backward's two sets of six GEMMs, on `workers` threads;
         # every thread ran items, with buffers of its own
-        pair = min(workers, 2)
-        assert [len(b) for _, b in interleaved] == [workers, pair, workers, pair, workers]
+        gemms = min(workers, 6)
+        assert [len(b) for _, b in interleaved] == [workers, gemms, workers, gemms, workers]
         for threads, buffers in interleaved:
             assert len(threads) == len(buffers)
             arrs = [b for bufs in buffers for b in bufs]
@@ -211,18 +230,18 @@ class TestAttentionBranch:
                            for i, u in enumerate(arrs) for v in arrs[i + 1:])
 
     def test_two_callers_at_once_get_the_serial_bits(self, monkeypatch, interleaved):
-        # two threads run the branch's forward and backward on the shared
+        # two threads run the step's forward and backward on the shared
         # pool at the same time
         monkeypatch.setattr(fu, "_BLOCK_BYTES", 8 * 5 * 5)
-        batches = [branch_batch(np.random.default_rng(seed), 5) for seed in (11, 12)]
+        batches = [step_batch(np.random.default_rng(seed), 3) for seed in (11, 12)]
         monkeypatch.setattr(fu, "_WORKERS", 1)
-        serial = [run_branch(arrays) for arrays in batches]
+        serial = [run_step(arrays) for arrays in batches]
         monkeypatch.setattr(fu, "_WORKERS", 2)
         results = [None, None]
 
         def caller(i):
             for _ in range(3):
-                results[i] = run_branch(batches[i])
+                results[i] = run_step(batches[i])
 
         threads = [threading.Thread(target=caller, args=(i,)) for i in (0, 1)]
         for t in threads:
@@ -237,16 +256,14 @@ class TestAttentionBranch:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_recorded_node_keeps_one_block_of_correlation(self, monkeypatch, workers):
         # one window per block: the backward keeps one K x K block of C for
-        # the 3 windows (K=5 is no other dimension here), not one per window
-        # nor one per thread
+        # the step's 3 modalities of 3 windows (K=5 is no other dimension
+        # here), not one per window, modality or thread
         monkeypatch.setattr(fu, "_BLOCK_BYTES", 8 * 5 * 5)
         monkeypatch.setattr(fu, "_WORKERS", workers)
-        rng = np.random.default_rng(8)
-        arrays = [rng.normal(size=(3, 3, 5)), rng.normal(size=(3, 9, 5)),
-                  rng.normal(size=(3, 9)), rng.normal(size=(5, 5)), rng.normal(size=(5, 5))]
-        leaves = [Tensor.stack(a) if a.ndim == 3 else Tensor(a, requires_grad=True)
-                  for a in arrays]
-        out = fu.attention_branch(*leaves)
+        y, joint, w_j, w_c, w_h = step_batch(np.random.default_rng(8), 3)
+        out = fu.attention_step(Tensor.stack(y), Tensor.stack(joint),
+                                *([Tensor(a, requires_grad=True) for a in group]
+                                  for group in (w_j, w_c, w_h)))
         seen, todo, windows = set(), [out._backward_fn], 0
         while todo:                                  # closures and lists, transitively
             obj = todo.pop()
@@ -267,8 +284,8 @@ class TestAttentionBranch:
         x, joint, w_j, w_c, w_h = random_branch_inputs(np.random.default_rng(9))
         w_c[0, 0] = np.nan
         keep = {}
-        out = fu.attention_branch(Tensor(x), Tensor(joint), Tensor(w_j),
-                                  ad._value(w_c), Tensor(w_h), keep)
+        out = attend_one(Tensor(x), Tensor(joint), Tensor(w_j),
+                         ad._value(w_c), Tensor(w_h), keep)
         np.testing.assert_array_equal(keep["map"].data, np.zeros_like(x))
         assert not np.signbit(keep["map"].data).any()
         np.testing.assert_array_equal(out.data, x)
@@ -282,7 +299,7 @@ class TestAttentionBranch:
                   rng.normal(size=(3, 9)), rng.normal(size=(5, 5)), rng.normal(size=(5, 5))]
         leaves = [Tensor.stack(a) if a.ndim == 3 else Tensor(a, requires_grad=True)
                   for a in arrays]
-        out = fu.attention_branch(*leaves)
+        out = attend_one(*leaves)
         saved = [weakref.ref(cell.cell_contents) for cell in out._backward_fn.__closure__
                  if isinstance(cell.cell_contents, np.ndarray)
                  and cell.cell_contents.shape[1:] == (5, 5)]
@@ -315,11 +332,55 @@ class TestAttentionBranch:
         probe = Tensor.stack(rng.normal(size=(2, 3, 5))) if batch else \
             Tensor(rng.normal(size=(3, 5)))
         report = ad.grad_check(
-            lambda: ad.tensor_sum(ad.mul(fu.attention_branch(x, joint, w_j, w_c, w_h),
-                                         probe)),
+            lambda: ad.tensor_sum(ad.mul(attend_one(x, joint, w_j, w_c, w_h), probe)),
             {"x": x, "joint": joint, "w_j": w_j, "w_c": w_c, "w_h": w_h},
             h=1e-5, tol=1e-5)
         assert report.passed, report.errors
+
+
+class TestAttentionStep:
+    @pytest.mark.parametrize("windows_per_block", [1, 3])
+    def test_three_modalities_match_three_one_modality_calls(self, monkeypatch,
+                                                             windows_per_block):
+        # unequal widths 3, 4, 2: each modality's rows of the output, its C
+        # and map, its weight gradients and its rows of dL/dY are those of a
+        # step over that modality alone; dL/dJ is the three steps' sum, in
+        # modality order
+        monkeypatch.setattr(fu, "_BLOCK_BYTES", windows_per_block * 8 * 5 * 5)
+        arrays = step_batch(np.random.default_rng(13), 3)
+        whole = run_step(arrays)
+        rows = np.split(np.arange(9), np.cumsum(WIDTHS)[:-1])
+        parts = [run_step([arrays[0][:, r], arrays[1]] + [[group[m]] for group in arrays[2:]])
+                 for m, r in enumerate(rows)]
+        # run_step lists out, corr(s), map(s), dY, dJ, dW_j(s), dW_c(s), dW_h(s), no_grad
+        out, corr, amap = whole[0], whole[1:4], whole[4:7]
+        g_y, g_j, g_w = whole[7], whole[8], whole[9:18]
+        for m, (r, part) in enumerate(zip(rows, parts)):
+            np.testing.assert_array_equal(out[:, r], part[0])
+            np.testing.assert_array_equal(whole[-1][:, r], part[-1])
+            np.testing.assert_array_equal(corr[m], part[1])
+            np.testing.assert_array_equal(amap[m], part[2])
+            np.testing.assert_array_equal(g_y[:, r], part[3])
+            for kind in range(3):                    # W_j, W_c, W_h
+                np.testing.assert_array_equal(g_w[3 * kind + m], part[5 + kind])
+        np.testing.assert_array_equal(g_j, parts[0][4] + parts[1][4] + parts[2][4])
+
+    def test_small_items_run_on_this_thread(self, monkeypatch, interleaved):
+        # at the default block size a K=5 item holds far less than half a
+        # block of C, which costs more to hand to the pool than it gains
+        monkeypatch.setattr(fu, "_WORKERS", 2)
+        run_step(step_batch(np.random.default_rng(16), 3))
+        assert [len(b) for _, b in interleaved] == [1] * 5
+        assert all(threads == {threading.current_thread()} for threads, _ in interleaved)
+
+    def test_shape_mismatch(self):
+        y, joint, w_j, w_c, w_h = step_batch(np.random.default_rng(14), 2)
+        args = [Tensor.stack(y), Tensor.stack(joint)] + [[Tensor(a) for a in group]
+                                                         for group in (w_j, w_c, w_h)]
+        with pytest.raises(ad.DimensionError):           # widths sum to 8 rows, not 9
+            fu.attention_step(*args[:2], args[2][:2] + [Tensor(np.ones((1, 9)))], *args[3:])
+        with pytest.raises(ad.DimensionError):           # two W_h for three modalities
+            fu.attention_step(*args[:4], args[4][:2])
 
 
 @pytest.fixture
@@ -345,25 +406,33 @@ def interleaved(monkeypatch):
     return calls
 
 
-def branch_batch(rng, n):
-    """X, J, W_j, W_c, W_h for a batch of n windows at d_m=3, d=9, K=5."""
-    return [rng.normal(size=(n, 3, 5)), rng.normal(size=(n, 9, 5)),
-            rng.normal(size=(3, 9)), rng.normal(size=(5, 5)), rng.normal(size=(5, 5))]
+WIDTHS = (3, 4, 2)                                   # unequal d_a, d_v, d_t; d = 9
 
 
-def run_branch(arrays):
-    """The branch's value, kept C and map, the five gradients of a fixed
-    loss, and the no_grad value."""
-    leaves = [Tensor.stack(a) if a.ndim == 3 else Tensor(a) for a in arrays]
+def step_batch(rng, n):
+    """Y, J and the lists W_j, W_c, W_h for a batch of n windows of three
+    modalities of widths WIDTHS at K=5."""
+    return [rng.normal(size=(n, 9, 5)), rng.normal(size=(n, 9, 5)),
+            [rng.normal(size=(dm, 9)) for dm in WIDTHS],
+            [rng.normal(size=(5, 5)) for _ in WIDTHS],
+            [rng.normal(size=(5, 5)) for _ in WIDTHS]]
+
+
+def run_step(arrays):
+    """The step's value, kept Cs and maps, the gradients of Y, J and every
+    weight for a fixed loss, and the no_grad value."""
+    y, joint = Tensor.stack(arrays[0]), Tensor.stack(arrays[1])
+    w_j, w_c, w_h = ([Tensor(a) for a in group] for group in arrays[2:])
+    leaves = [y, joint, *w_j, *w_c, *w_h]
     for t in leaves:
         t.requires_grad = True
-    keep = {}
-    out = fu.attention_branch(*leaves, keep)
+    keep = []
+    out = fu.attention_step(y, joint, w_j, w_c, w_h, keep)
     ad.backward(ad.tensor_sum(ad.mul(out, Tensor.stack(np.cos(arrays[0])))))
     with ad.no_grad():
-        plain = fu.attention_branch(*leaves)
-    return ([out.data, keep["corr"].data, keep["map"].data] + [t.grad for t in leaves]
-            + [plain.data])
+        plain = fu.attention_step(y, joint, w_j, w_c, w_h)
+    return ([out.data] + [kept[name].data for name in ("corr", "map") for kept in keep]
+            + [t.grad for t in leaves] + [plain.data])
 
 
 class TestBranchThreads:
@@ -605,6 +674,24 @@ class TestRjcmaForward:
         out_p, permuted, _ = branch(x @ p, joint @ p, w, p.T @ w_c @ p, p.T @ w_h @ p)
         np.testing.assert_allclose(permuted, p.T @ base @ p, atol=1e-12)
         np.testing.assert_allclose(out_p, out @ p, atol=1e-12)
+
+    def test_each_recursion_step_waits_on_the_pool_four_times(self, monkeypatch):
+        # K=300, l=3, one window: each step's forward, backward blocks and
+        # two sets of backward GEMMs make one `_for_each` call each
+        calls = []
+        for_each = fu._for_each
+
+        def counted(fn, items, buffers):
+            calls.append(len(items))
+            return for_each(fn, items, buffers)
+
+        monkeypatch.setattr(fu, "_for_each", counted)
+        cfg = fu.FusionConfig(2, 2, 2, K=300, iterations=3)
+        params = fu.init_params(cfg, np.random.default_rng(15))
+        x = make_inputs(cfg, seed=16)
+        out = fu.rjcma_forward(x["a"], x["v"], x["t"], params, cfg)
+        ad.backward(ad.tensor_sum(out.predictions))
+        assert calls == [3, 3, 3] + [6, 3, 6] * 3
 
     def test_shape_mismatch_propagates(self):
         cfg = fu.FusionConfig(3, 3, 3, K=4)
