@@ -174,8 +174,9 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
     reuses one buffer of C, and an item gets the same numpy calls on any
     thread. A recorded node keeps this thread's buffer only: the backward
     starts with the item whose C is still in it and recomputes the others'.
-    A `keep` list receives a dict per modality of copies of its C ("corr"),
-    attention map H ("map") and attended rows ("attended").
+    A `keep` list receives a dict per modality of copies of its C ("corr")
+    and attention map H ("map"), and its attended rows ("attended"), a view
+    of the returned stack.
     """
     k = y.cols
     if (sum(w.rows for w in w_j) != y.rows or not len(w_j) == len(w_c) == len(w_h)
@@ -192,8 +193,9 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
     xs = np.split(yd, splits, axis=1)              # views of each modality's rows
     step = max(1, min(n, _BLOCK_BYTES // (8 * k * k)))
     items = [(m, slice(i, min(i + step, n))) for m in range(len(xs)) for i in range(0, n, step)]
-    # items of less than half a block of C run on this thread alone: on 2
-    # CPUs, the hand-off to the pool cost more than it gained below ~400 KB
+    # an item of less than half a block of C runs on this thread alone: on
+    # 2 CPUs the pool's hand-off cost more than it gained up to 256 KB, and
+    # gained nothing at 384-512 KB (a K=64 batch of 12-16 windows)
     threads = min(_WORKERS, len(items)) if 2 * 8 * k * k * step >= _BLOCK_BYTES else 1
     a = [np.matmul(w.data, jd) for w in w_j]
     for am in a:

@@ -112,12 +112,13 @@ class TestJointRepresentation:
         np.testing.assert_array_equal(after[:, 1:], base[:, 1:])
 
     def test_frame_count_mismatch(self):
-        # streams of different frame counts make no stack to take J over
-        with pytest.raises(ad.DimensionError):
-            fu.joint_representation(
-                ad.concat_rows([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))),
-                                Tensor(np.ones((2, 3)))]),
-                Tensor(np.eye(6)), Tensor(np.zeros((6, 1))))
+        # J is taken over the stack of the three streams, so rjcma_forward
+        # rejects a stream whose frame count differs before stacking them
+        cfg = fu.FusionConfig(2, 2, 2, K=3)
+        params = fu.init_params(cfg, np.random.default_rng(0))
+        x = make_inputs(cfg)
+        with pytest.raises(ad.DimensionError, match="modality v shape"):
+            fu.rjcma_forward(x["a"], Tensor(np.ones((2, 4))), x["t"], params, cfg)
 
 
 def stack(x):
