@@ -20,7 +20,7 @@ from .data import SequenceRecord, SyntheticConfig, WindowSpec, generate_syntheti
 from .fusion import FusionConfig, init_params, rjcma_forward
 from .metrics import ccc, ccc_loss, evaluate
 from .model import RjcmaModel
-from .temporal import TcnStack, tcn_forward
+from .temporal import tcn_forward
 from .train import TrainConfig, fit
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "generate_synthetic", "window",
     "FusionConfig", "init_params", "rjcma_forward",
     "ccc", "ccc_loss", "evaluate",
-    "RjcmaModel", "TcnStack", "tcn_forward",
+    "RjcmaModel", "tcn_forward",
     "TrainConfig", "fit",
 ]
 

@@ -160,12 +160,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _value(out)
 
     def bwd(g):
-        if b.data.ndim == 2 and g.ndim == 3:
-            # shared right weight: its gradient is one GEMM over stacked rows
-            gb = a.data.reshape(-1, a.cols).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = _unbatch(np.matmul(_t(a.data), g), b.data)
-        return _unbatch(_mm(g, _t(b.data)), a.data), gb
+        return (_unbatch(_mm(g, _t(b.data)), a.data),
+                _unbatch(np.matmul(_t(a.data), g), b.data))
 
     return _make(out, (a, b), bwd)
 

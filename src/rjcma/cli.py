@@ -25,7 +25,7 @@ from . import checkpoint as ckpt
 from . import data as dat
 from .autodiff import grad_check
 from .fusion import FusionConfig
-from .metrics import evaluate
+from .metrics import InsufficientDataError, evaluate
 from .model import RjcmaModel, _is_int
 from .train import NumericalError, TrainConfig, train_fold
 
@@ -66,7 +66,7 @@ def default_config() -> dict:
         "seed": 0,
         "n_folds": 6,
         "synthetic": asdict(dat.SyntheticConfig()),
-        "window": {"K": 300, "stride": 200},
+        "window": asdict(dat.WindowSpec()),
         # None: train.seed follows seed
         "train": {**asdict(TrainConfig()), "seed": None},
         "gradcheck": asdict(GradcheckConfig()),
@@ -268,7 +268,10 @@ def cmd_eval(args) -> int:
         raise dat.FormatError(
             f"{recs[0].id}: feature dims {dims} do not match checkpoint {expected}")
     windows = [w for r in recs for w in dat.window(r, spec)]
-    report = evaluate(model.predict, windows, (model.target,))
+    try:
+        report = evaluate(model.predict, windows, (model.target,))
+    except InsufficientDataError as e:
+        raise InsufficientDataError(f"{args.manifest} split {args.split!r}: {e}") from None
     run_dir = new_run_dir(args.out)
     echo_config(run_dir, cfg)
     (run_dir / "report.json").write_text(report.to_json())
@@ -449,7 +452,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (dat.FormatError, ckpt.CheckpointError, OSError) as e:
+    except (dat.FormatError, ckpt.CheckpointError, InsufficientDataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as e:

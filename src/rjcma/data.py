@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -73,12 +73,14 @@ class Window:
     valence: np.ndarray            # K, raw values incl. -5 sentinels
     arousal: np.ndarray
     n_padded: int = 0
-    valence_mask: np.ndarray = None
-    arousal_mask: np.ndarray = None
+    # label masks: false on -5 sentinels and on padded tail frames
+    valence_mask: np.ndarray = field(init=False)
+    arousal_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.valence_mask is None:
-            self.valence_mask, self.arousal_mask = build_masks(self)
+        valid = np.arange(self.K) < self.K - self.n_padded
+        self.valence_mask = (self.valence != INVALID_LABEL) & valid
+        self.arousal_mask = (self.arousal != INVALID_LABEL) & valid
 
     @property
     def K(self) -> int:
@@ -89,17 +91,6 @@ class Window:
 
     def label_mask(self, target: str) -> np.ndarray:
         return self.valence_mask if target == "valence" else self.arousal_mask
-
-
-def build_masks(win: Window):
-    """Label masks: false on -5 sentinels and on padded tail frames."""
-    k = win.valence.size
-    padded = np.zeros(k, dtype=bool)
-    if win.n_padded:
-        padded[k - win.n_padded:] = True
-    valence_mask = (win.valence != INVALID_LABEL) & ~padded
-    arousal_mask = (win.arousal != INVALID_LABEL) & ~padded
-    return valence_mask, arousal_mask
 
 
 def window(rec: SequenceRecord, spec: WindowSpec) -> list[Window]:

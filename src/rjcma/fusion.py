@@ -73,15 +73,6 @@ def init_params(config: FusionConfig, rng: np.random.Generator) -> dict[str, Ten
             for name, shape, bound in spec}
 
 
-def expected_param_count(config: FusionConfig) -> int:
-    d, K, h = config.d, config.K, config.head_hidden
-    n = d * d + d
-    per_iter = sum(config.dim(m) * d + 2 * K * K for m in MODALITIES)
-    n += config.iterations * per_iter
-    n += h * d + h + h + 1
-    return n
-
-
 @dataclass
 class FusionOutput:
     attended: Tensor            # d x K, the attended stack

@@ -8,11 +8,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint as ckpt
+from . import temporal
 from .autodiff import Tensor
 from .data import MODALITIES, Normalizer, Window
 from .fusion import FusionConfig, init_params, rjcma_forward
 from .metrics import ccc_loss
-from .temporal import TcnStack, tcn_forward
+from .temporal import tcn_forward
 
 
 class RjcmaModel:
@@ -29,9 +30,9 @@ class RjcmaModel:
         self.normalizer = normalizer
         rng = np.random.default_rng(seed)
         self.params = init_params(config, rng)
-        self.tcn = {m: TcnStack(config.dim(m), rng) for m in MODALITIES}
-        self.params.update({f"tcn/{m}/{name}": p for m in MODALITIES
-                            for name, p in self.tcn[m].params.items()})
+        for m in MODALITIES:
+            self.params.update({f"tcn/{m}/{name}": p for name, p
+                                in temporal.init_params(config.dim(m), rng).items()})
 
     def parameters(self) -> dict[str, Tensor]:
         """Every learnable tensor, by its checkpoint name."""
@@ -75,7 +76,7 @@ class RjcmaModel:
     def forward_window(self, windows: Sequence[Window]):
         """Forward a batch of windows as one graph over (B, d_m, K) stacks."""
         x = self._inputs(windows)
-        encoded = {m: tcn_forward(x[m], self.tcn[m]) for m in MODALITIES}
+        encoded = {m: tcn_forward(x[m], self.params, f"tcn/{m}/") for m in MODALITIES}
         return rjcma_forward(encoded["a"], encoded["v"], encoded["t"],
                              self.params, self.config)
 
@@ -105,8 +106,8 @@ class RjcmaModel:
             "iterations": self.config.iterations,
             "target": self.target, "seed": self.seed,
             # the TCN geometry is fixed; a checkpoint records it as a format field
-            "tcn_kernel": self.tcn["a"].kernel_size,
-            "tcn_dilations": list(self.tcn["a"].dilations),
+            "tcn_kernel": temporal.KERNEL_SIZE,
+            "tcn_dilations": list(temporal.DILATIONS),
         }
 
     def save(self, path) -> None:
@@ -121,7 +122,8 @@ class RjcmaModel:
         the wrong type, an invalid value (the TCN geometry included), a
         tensor that is missing or mis-shaped for the config, or a
         normalizer std that is not positive raises CheckpointError naming
-        the file and the key or tensor."""
+        the file and the key or tensor. The config's sizes are checked
+        against the file's tensors before the model draws any weight."""
         config, tensors = ckpt.read_checkpoint(path)
         for key, valid in _CONFIG_TYPES.items():
             if key not in config:
@@ -136,10 +138,21 @@ class RjcmaModel:
             raise ckpt.CheckpointError(
                 f"{path}: checkpoint lacks tensor {e.args[0]!r}") from None
         try:
-            model = cls(FusionConfig(d_a=config["d_a"], d_v=config["d_v"],
-                                     d_t=config["d_t"], K=config["K"],
-                                     iterations=config["iterations"]),
-                        normalizer=normalizer, target=config["target"],
+            fusion = FusionConfig(d_a=config["d_a"], d_v=config["d_v"], d_t=config["d_t"],
+                                  K=config["K"], iterations=config["iterations"])
+            # each size must fit a tensor of the file before any weight is
+            # drawn, so that no config sizes a model far larger than its file
+            if tensors.get("fc_joint/w", np.empty(0)).shape != (fusion.d, fusion.d):
+                raise ValueError(f"config keys d_a + d_v + d_t = {fusion.d} do not fit "
+                                 f"tensor 'fc_joint/w'")
+            for name in (f"iter{i}/W_ca" for i in range(1, fusion.iterations + 1)):
+                if name not in tensors:
+                    raise ValueError(f"config key 'iterations' is {fusion.iterations}, "
+                                     f"but the checkpoint lacks tensor {name!r}")
+                if tensors[name].shape != (fusion.K, fusion.K):
+                    raise ValueError(f"config key 'K' is {fusion.K}, which does not fit "
+                                     f"tensor {name!r} of shape {tensors[name].shape}")
+            model = cls(fusion, normalizer=normalizer, target=config["target"],
                         seed=config["seed"])
             for key, value in model.checkpoint_config().items():
                 if config[key] != value:

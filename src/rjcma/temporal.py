@@ -51,31 +51,30 @@ def causal_dilated_conv(x: Tensor, taps: list[Tensor], bias: Tensor,
     return ad._make(out, parents, bwd)
 
 
-class TcnStack:
-    """Causal conv blocks (conv + bias + ReLU + residual) over one modality's
-    channels, block b dilated by dilations[b]. `params` holds every block's
-    tensors under "block{b}/tap{j}" and "block{b}/bias"."""
-
-    def __init__(self, channels: int, rng: np.random.Generator,
-                 kernel_size: int = 3, dilations: tuple[int, ...] = (1, 2)):
-        if min(channels, kernel_size, *dilations) < 1:
-            raise ValueError(f"TcnStack needs positive channels, kernel_size and "
-                             f"dilations, got {channels}, {kernel_size}, {dilations}")
-        self.kernel_size = kernel_size
-        self.dilations = tuple(dilations)
-        bound = 1.0 / math.sqrt(channels * kernel_size)
-        self.params: dict[str, Tensor] = {}
-        for b in range(len(self.dilations)):
-            for j in range(kernel_size):
-                tap = rng.uniform(-bound, bound, size=(channels, channels))
-                self.params[f"block{b}/tap{j}"] = Tensor(tap, requires_grad=True)
-            self.params[f"block{b}/bias"] = Tensor(np.zeros((channels, 1)), requires_grad=True)
+# every modality's TCN: a receptive field of 1 + 2 * (1 + 2) = 7 frames
+KERNEL_SIZE = 3
+DILATIONS = (1, 2)
 
 
-def tcn_forward(x: Tensor, stack: TcnStack) -> Tensor:
+def init_params(channels: int, rng: np.random.Generator) -> dict[str, Tensor]:
+    """One modality's conv blocks (conv + bias + ReLU + residual): per block
+    b, the taps "block{b}/tap{j}" drawn uniformly in order and a zero bias
+    "block{b}/bias"."""
+    bound = 1.0 / math.sqrt(channels * KERNEL_SIZE)
+    params = {}
+    for b in range(len(DILATIONS)):
+        for j in range(KERNEL_SIZE):
+            tap = rng.uniform(-bound, bound, size=(channels, channels))
+            params[f"block{b}/tap{j}"] = Tensor(tap, requires_grad=True)
+        params[f"block{b}/bias"] = Tensor(np.zeros((channels, 1)), requires_grad=True)
+    return params
+
+
+def tcn_forward(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
+    """The conv blocks `params` holds as prefix + `init_params`'s names."""
     out = x
-    for b, dilation in enumerate(stack.dilations):
-        taps = [stack.params[f"block{b}/tap{j}"] for j in range(stack.kernel_size)]
-        conv = causal_dilated_conv(out, taps, stack.params[f"block{b}/bias"], dilation)
+    for b, dilation in enumerate(DILATIONS):
+        taps = [params[f"{prefix}block{b}/tap{j}"] for j in range(KERNEL_SIZE)]
+        conv = causal_dilated_conv(out, taps, params[f"{prefix}block{b}/bias"], dilation)
         out = ad.add(ad.relu(conv), out)
     return out

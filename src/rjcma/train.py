@@ -14,7 +14,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Normalizer, SequenceRecord, WindowSpec, window
 from .fusion import FusionConfig
-from .metrics import evaluate
+from .metrics import InsufficientDataError, evaluate
 from .model import RjcmaModel
 
 logger = logging.getLogger(__name__)
@@ -65,11 +65,12 @@ class TrainConfig:
 # optimizer
 
 
+# Adam's moment decay rates and denominator epsilon
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -86,12 +87,11 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState,
     weights directly, not folded into the gradient). The moments and the
     weights are updated in place, a block of rows at a time through two
     scratch blocks, in the operation order of the out-of-place formula
-    p -= lr * (m / c1) / (sqrt(v / c2) + eps), so the result is the same
+    p -= lr * (m / c1) / (sqrt(v / c2) + EPS), so the result is the same
     bit for bit."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
     decay = 1.0 - lr * weight_decay
     # a block is at least one row, so a row wider than _ADAM_BLOCK widens it
     scratch = np.empty((2, max([_ADAM_BLOCK] + [p.data.shape[-1] for p in params.values()])))
@@ -110,20 +110,20 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState,
             mb, vb, gb, wb = m[r], v[r], g[r], w[r]
             s = scratch[0, :gb.size].reshape(gb.shape)
             u = scratch[1, :gb.size].reshape(gb.shape)
-            mb *= b1
-            np.multiply(gb, 1.0 - b1, out=s)
-            mb += s                                  # m += (1 - b1) * g
-            vb *= b2
-            np.multiply(gb, 1.0 - b2, out=s)
+            mb *= BETA1
+            np.multiply(gb, 1.0 - BETA1, out=s)
+            mb += s                                  # m += (1 - BETA1) * g
+            vb *= BETA2
+            np.multiply(gb, 1.0 - BETA2, out=s)
             s *= gb
-            vb += s                                  # v += (1 - b2) * g * g
+            vb += s                                  # v += (1 - BETA2) * g * g
             if weight_decay:
                 wb *= decay
             np.divide(mb, c1, out=s)
             s *= lr
             np.divide(vb, c2, out=u)
             np.sqrt(u, out=u)
-            u += state.eps
+            u += EPS
             s /= u
             wb -= s
 
@@ -191,11 +191,15 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
     end-of-epoch reload, early stopping.
 
     A train window needs two valid frames for its loss; the validation CCC
-    is `evaluate`'s, over every valid frame."""
+    is `evaluate`'s, over every valid frame. A partition with no such
+    window raises InsufficientDataError naming it and the target."""
     target = model.target
     train_windows = [w for w in train_windows if w.label_mask(target).sum() >= 2]
-    if not train_windows or not any(w.label_mask(target).any() for w in val_windows):
-        raise ValueError("train and validation partitions must be non-empty")
+    if not train_windows:
+        raise InsufficientDataError(
+            f"the train partition has no window with 2 valid {target} frames")
+    if not any(w.label_mask(target).any() for w in val_windows):
+        raise InsufficientDataError(f"the validation partition has no valid {target} frame")
 
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()

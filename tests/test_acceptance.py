@@ -124,17 +124,14 @@ def test_tcn_causality(capsys):
     ok = True
     for _ in range(100):
         channels = int(rng.integers(1, 5))
-        kernel = int(rng.integers(2, 4))
-        dils = tuple(int(d) for d in
-                     rng.choice([1, 2, 4], size=rng.integers(1, 3)))
-        stack = tc.TcnStack(channels, rng, kernel_size=kernel, dilations=dils)
+        params = tc.init_params(channels, rng)
         k = 12
         x = rng.normal(size=(channels, k))
         t = int(rng.integers(0, k - 1))
-        base = tc.tcn_forward(Tensor(x), stack).data
+        base = tc.tcn_forward(Tensor(x), params, "").data
         bumped = x.copy()
         bumped[:, t + 1] += rng.normal(size=channels) + 1.0
-        out = tc.tcn_forward(Tensor(bumped), stack).data
+        out = tc.tcn_forward(Tensor(bumped), params, "").data
         ok = ok and np.array_equal(base[:, :t + 1], out[:, :t + 1])
     announce(capsys, "tcn causality", ok, "100 random stacks, bit-exact")
 

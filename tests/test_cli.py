@@ -12,6 +12,7 @@ from rjcma import autodiff as ad
 from rjcma import checkpoint as ck
 from rjcma import cli
 from rjcma import data as dat
+from rjcma import model as mo
 from rjcma import train as tr
 from rjcma.fusion import FusionConfig
 from rjcma.model import RjcmaModel
@@ -284,6 +285,70 @@ class TestEvalBadCheckpointTensors:
                        "--out", str(tmp_path / "e")])
         assert rc == cli.EXIT_DATA
         assert f"{path}: {message}" in capsys.readouterr().err
+
+
+class TestEvalCheckpointSizes:
+    # a config size that no tensor of the file has exits 2 before the model
+    # draws a weight at that size
+    @pytest.mark.parametrize("key, value, message", [
+        ("K", 1000000, "config key 'K' is 1000000, which does not fit tensor "
+                       "'iter1/W_ca' of shape (20, 20)"),
+        ("iterations", 10 ** 12, "config key 'iterations' is 1000000000000, "
+                                 "but the checkpoint lacks tensor 'iter4/W_ca'"),
+        ("d_a", 5, "config keys d_a + d_v + d_t = 13 do not fit tensor 'fc_joint/w'"),
+    ], ids=["K", "iterations", "widths"])
+    def test_exits_with_data_error_before_drawing(self, tmp_path, smoke_config, dataset,
+                                                  capsys, monkeypatch, key, value, message):
+        model = RjcmaModel(FusionConfig(4, 4, 4, K=20), "valence", seed=0)
+        path = tmp_path / "big.bin"
+        ck.write_checkpoint(path, {**model.checkpoint_config(), key: value},
+                            model.state_arrays())
+
+        def draw(*_args):
+            raise AssertionError("weights drawn before the sizes were checked")
+
+        monkeypatch.setattr(mo, "init_params", draw)
+        rc = cli.main(["eval", "--config", smoke_config, "--checkpoint", str(path),
+                       "--manifest", str(dataset / "manifest.json"),
+                       "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+
+class TestNothingToScore:
+    """A partition with no valid frame for the target exits 2, naming the
+    partition and the target."""
+
+    def test_train_on_one_frame_windows(self, tmp_path, smoke_config, dataset, capsys):
+        rc = cli.main(["train", "--config", smoke_config,
+                       "--set", "window.K=1", "--set", "window.stride=1",
+                       "--manifest", str(dataset / "manifest.json"),
+                       "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_DATA
+        assert ("data error: the train partition has no window with 2 valid valence "
+                "frames") in capsys.readouterr().err
+
+    def test_eval_on_unlabelled_split(self, tmp_path, smoke_config, capsys):
+        data = tmp_path / "unlabelled"
+        assert cli.main(["gen", "--config", smoke_config,
+                         "--set", "synthetic.invalid_label_prob=1.0",
+                         "--out", str(data)]) == 0
+        path = tmp_path / "checkpoint.bin"
+        RjcmaModel(FusionConfig(4, 4, 4, K=20), "valence", seed=0).save(path)
+        manifest = str(data / "manifest.json")
+        rc = cli.main(["eval", "--config", smoke_config, "--checkpoint", str(path),
+                       "--manifest", manifest, "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert (f"data error: {manifest} split 'val': no valid frames for target valence"
+                in capsys.readouterr().err)
+
+    def test_cv_on_unlabelled_data(self, tmp_path, smoke_config, capsys):
+        rc = cli.main(["cv", "--config", smoke_config,
+                       "--set", "synthetic.invalid_label_prob=1.0",
+                       "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_DATA
+        assert ("data error: the train partition has no window with 2 valid valence "
+                "frames") in capsys.readouterr().err
 
 
 class TestConfigValues:

@@ -8,7 +8,7 @@ from rjcma.autodiff import Tensor
 
 def conv_params(rng, channels_in, channels_out, kernel_size=3):
     """Taps (channels_out x channels_in each, the last one the current frame)
-    and a zero bias, drawn as a TcnStack draws them."""
+    and a zero bias, drawn as `temporal.init_params` draws them."""
     bound = 1.0 / np.sqrt(channels_in * kernel_size)
     taps = [Tensor(rng.uniform(-bound, bound, size=(channels_out, channels_in)),
                    requires_grad=True) for _ in range(kernel_size)]
@@ -19,14 +19,6 @@ def scalar_conv(x, kernel, dilation=1):
     """1-channel conv with explicit tap values (kernel[-1] = current frame)."""
     taps = [Tensor([[value]]) for value in kernel]
     return tp.causal_dilated_conv(x, taps, Tensor([[0.0]]), dilation)
-
-
-class TestBlockConfig:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            tp.TcnStack(0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            tp.TcnStack(1, np.random.default_rng(0), kernel_size=0)
 
 
 class TestCausalDilatedConv:
@@ -40,16 +32,20 @@ class TestCausalDilatedConv:
         out = scalar_conv(x, [1.0, 0.0])
         np.testing.assert_array_equal(out.data, [[0.0, 1.0, 2.0, 3.0]])
 
-    def test_future_perturbation_invisible(self):
+    @pytest.mark.parametrize("kernel, dilation",
+                             [(k, d) for k in (2, 3) for d in (1, 2, 4)],
+                             ids=[f"k{k}-d{d}" for k in (2, 3) for d in (1, 2, 4)])
+    def test_future_perturbation_invisible(self, kernel, dilation):
         rng = np.random.default_rng(1)
-        taps, bias = conv_params(rng, 3, 2)
+        taps, bias = conv_params(rng, 3, 2, kernel)
         x = rng.normal(size=(3, 10))
-        base = tp.causal_dilated_conv(Tensor(x), taps, bias, 2).data
+        base = tp.causal_dilated_conv(Tensor(x), taps, bias, dilation).data
         bumped = x.copy()
         t = 5
         bumped[:, t + 1] += 10.0
-        after = tp.causal_dilated_conv(Tensor(bumped), taps, bias, 2).data
+        after = tp.causal_dilated_conv(Tensor(bumped), taps, bias, dilation).data
         assert np.array_equal(after[:, :t + 1], base[:, :t + 1])
+        assert not np.array_equal(after[:, t + 1], base[:, t + 1])
 
     def test_gradient_matches_finite_differences(self):
         # channel change, dilation 3, and a tap whose lag (6) exceeds the
@@ -74,53 +70,53 @@ class TestCausalDilatedConv:
 
 class TestTcnStack:
     def test_zero_weights_with_residual_is_identity(self):
-        stack = tp.TcnStack(3, np.random.default_rng(0))
-        for p in stack.params.values():
+        params = tp.init_params(3, np.random.default_rng(0))
+        for p in params.values():
             p.data[:] = 0.0
         x = Tensor(np.random.default_rng(1).normal(size=(3, 7)))
-        out = tp.tcn_forward(x, stack)
+        out = tp.tcn_forward(x, params, "")
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_shape_preserved(self):
-        stack = tp.TcnStack(5, np.random.default_rng(2), dilations=(1, 2, 4))
+        params = tp.init_params(5, np.random.default_rng(2))
         x = Tensor(np.random.default_rng(3).normal(size=(5, 23)))
-        assert tp.tcn_forward(x, stack).shape == (5, 23)
+        assert tp.tcn_forward(x, params, "").shape == (5, 23)
 
     def test_receptive_field_bounds_sensitivity(self):
-        # receptive field 15: frame 20 sees frames 6..20, not frame 4
+        # receptive field 7: frame 20 sees frames 14..20, not frame 13
         rng = np.random.default_rng(5)
-        stack = tp.TcnStack(2, rng, kernel_size=3, dilations=(1, 2, 4))
+        params = tp.init_params(2, rng)
         x = rng.normal(size=(2, 30))
-        base = tp.tcn_forward(Tensor(x), stack).data
+        base = tp.tcn_forward(Tensor(x), params, "").data
 
         far = x.copy()
-        far[:, 4] += 5.0
-        out_far = tp.tcn_forward(Tensor(far), stack).data
+        far[:, 13] += 5.0
+        out_far = tp.tcn_forward(Tensor(far), params, "").data
         assert np.array_equal(out_far[:, 20], base[:, 20])
 
         near = x.copy()
-        near[:, 6] += 5.0
-        out_near = tp.tcn_forward(Tensor(near), stack).data
+        near[:, 14] += 5.0
+        out_near = tp.tcn_forward(Tensor(near), params, "").data
         assert not np.array_equal(out_near[:, 20], base[:, 20])
 
     def test_causality_property(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            stack = tp.TcnStack(3, rng, dilations=(1, 2))
+            params = tp.init_params(3, rng)
             x = rng.normal(size=(3, 12))
             t = int(rng.integers(0, 11))
             bumped = x.copy()
             bumped[:, t + 1:] += rng.normal(size=(3, 12 - t - 1))
-            a = tp.tcn_forward(Tensor(x), stack).data
-            b = tp.tcn_forward(Tensor(bumped), stack).data
+            a = tp.tcn_forward(Tensor(x), params, "").data
+            b = tp.tcn_forward(Tensor(bumped), params, "").data
             assert np.array_equal(a[:, :t + 1], b[:, :t + 1])
 
     def test_two_block_gradient_check(self):
         rng = np.random.default_rng(7)
-        stack = tp.TcnStack(3, rng, dilations=(1, 2))
+        params = tp.init_params(3, rng)
         x = Tensor(rng.normal(size=(3, 9)), requires_grad=True)
         report = ad.grad_check(
-            lambda: ad.tensor_sum(ad.mul(tp.tcn_forward(x, stack),
-                                         tp.tcn_forward(x, stack))),
-            {"x": x, **stack.params}, h=1e-5, tol=1e-4)
+            lambda: ad.tensor_sum(ad.mul(tp.tcn_forward(x, params, ""),
+                                         tp.tcn_forward(x, params, ""))),
+            {"x": x, **params}, h=1e-5, tol=1e-4)
         assert report.passed, report.errors
