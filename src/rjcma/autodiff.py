@@ -7,9 +7,10 @@ the column-bias add, and a 2-D operand of `matmul` against a stack, which
 is a weight shared by every window of the batch and receives one gradient
 summed over it. Scalars are 1x1 tensors so reductions stay differentiable.
 
-Ops record onto an implicit tape only when an operand requires a gradient
-and recording is on; inside `no_grad()` they build no graph nodes and no
-backward closures.
+Every op ends in `_make`, the one place that decides whether it records:
+its result is a node of the implicit tape only when recording is on and an
+operand requires a gradient or is itself a node. Otherwise, and always
+inside `no_grad()`, the result keeps no node and no backward closure.
 """
 
 from __future__ import annotations
@@ -33,36 +34,29 @@ class Tensor:
     """Dense 2-D float64 tensor, or a (B, rows, cols) stack of them,
     optionally recording onto the implicit tape.
 
-    Tensors created by primitive ops hold references to their parents and a
+    The constructor takes external input only: finite values, 2-D after
+    promotion; a batch of inputs is built with `Tensor.stack`. Op results
+    come from `_make`. A recorded one holds references to its parents and a
     backward closure; `backward` replays those closures in reverse
     topological order. Leaf tensors (no parents) are the only ones whose
-    `.grad` is populated. Input data is 2-D; a batch of inputs is built
-    with `Tensor.stack`.
+    `.grad` is populated.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = (), _backward_fn=None, _check: bool = True):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
+        if arr.ndim < 2:
             arr = arr.reshape(1, -1)
-        # only external input is validated; op results may legitimately
-        # carry non-finite values that training diagnostics inspect
-        external = _check and _backward_fn is None
-        if arr.ndim != 2 and (external or arr.ndim != 3):
+        if arr.ndim != 2:
             raise DimensionError(
                 f"input tensors are 2-D (a batch is built with Tensor.stack), got ndim={arr.ndim}")
-        if external and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite values rejected at tensor construction")
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents = _parents
-        self._backward_fn = _backward_fn
-        self._consumed = False
+        self._parents, self._backward_fn, self._consumed = (), None, False
 
     @classmethod
     def stack(cls, arrays: Sequence) -> "Tensor":
@@ -71,7 +65,7 @@ class Tensor:
         if not parts or any(p.shape != parts[0].shape for p in parts):
             raise DimensionError(
                 f"stack needs equally shaped parts, got {[p.shape for p in parts]}")
-        return cls(np.stack(parts), _check=False)
+        return _value(np.stack(parts))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -114,16 +108,24 @@ def _recording(*parents: Tensor) -> bool:
                                     for t in parents)
 
 
-def _value(data: np.ndarray) -> Tensor:
-    """An op's result when `_recording` is false."""
-    return Tensor(data, _check=False)
-
-
 def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
-    """A graph node whose `backward_fn(g)` returns one gradient (or None) per
-    parent. Ops call it only when `_recording(*parents)`, and return
-    `_value(data)` otherwise, so that no backward closure is built."""
-    return Tensor(data, requires_grad=False, _parents=parents, _backward_fn=backward_fn)
+    """An op's result, holding `data` (its own 2-D or (B, rows, cols)
+    float64 array) as is: unchecked, since an op result may hold non-finite
+    values that training diagnostics inspect. When `_recording(*parents)`,
+    it is a graph node whose `backward_fn(g)` returns one gradient (or
+    None) per parent; otherwise a plain value, and `backward_fn` is dropped."""
+    out = Tensor.__new__(Tensor)
+    out.data, out.requires_grad, out.grad, out._consumed = data, False, None, False
+    if _recording(*parents):
+        out._parents, out._backward_fn = parents, backward_fn
+    else:
+        out._parents, out._backward_fn = (), None
+    return out
+
+
+def _value(data: np.ndarray) -> Tensor:
+    """`data` as a tensor outside any graph, without a copy or a check."""
+    return _make(data, (), None)
 
 
 def _unbatch(g: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -155,15 +157,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows or (a.data.ndim == b.data.ndim == 3
                             and a.shape[0] != b.shape[0]):
         raise DimensionError(f"matmul inner dims: {a.shape} x {b.shape}")
-    out = _mm(a.data, b.data)
-    if not _recording(a, b):
-        return _value(out)
 
     def bwd(g):
         return (_unbatch(_mm(g, _t(b.data)), a.data),
                 _unbatch(np.matmul(_t(a.data), g), b.data))
 
-    return _make(out, (a, b), bwd)
+    return _make(_mm(a.data, b.data), (a, b), bwd)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -175,8 +174,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
             raise DimensionError(
                 f"concat_rows column mismatch: {p.shape} vs {parts[0].shape}")
     out = np.concatenate([p.data for p in parts], axis=-2)
-    if not _recording(*parts):
-        return _value(out)
     sizes = [p.rows for p in parts]
 
     def bwd(g):
@@ -193,33 +190,23 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = a.data + b.data
-    if not _recording(a, b):
-        return _value(out)
-    return _make(out, (a, b), lambda g: (g, g))
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    out = a.data * b.data
-    if not _recording(a, b):
-        return _value(out)
-    return _make(out, (a, b), lambda g: (g * b.data, g * a.data))
+    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
-    if not _recording(a):
-        return _value(out)
     return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def relu(a: Tensor) -> Tensor:
     out = np.fmax(a.data, 0.0)
     out += 0.0                                       # NaN and -0.0 give +0.0
-    if not _recording(a):
-        return _value(out)
     # subgradient at exactly 0 is 0
     return _make(out, (a,), lambda g: (g * (out > 0.0),))
 
@@ -228,18 +215,13 @@ def add_col_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a (rows x 1) bias vector to every column of x (of every window)."""
     if b.data.ndim != 2 or b.cols != 1 or b.rows != x.rows:
         raise DimensionError(f"bias shape {b.shape} incompatible with {x.shape}")
-    out = x.data + b.data
-    if not _recording(x, b):
-        return _value(out)
-    return _make(out, (x, b),
+    return _make(x.data + b.data, (x, b),
                  lambda g: (g, _unbatch(g.sum(axis=-1, keepdims=True), b.data)))
 
 
 def tensor_sum(a: Tensor) -> Tensor:
-    out = np.array([[a.data.sum()]])
-    if not _recording(a):
-        return _value(out)
-    return _make(out, (a,), lambda g: (np.full_like(a.data, g[0, 0]),))
+    return _make(np.array([[a.data.sum()]]), (a,),
+                 lambda g: (np.full_like(a.data, g[0, 0]),))
 
 
 # ---------------------------------------------------------------------------

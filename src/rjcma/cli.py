@@ -24,9 +24,10 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import data as dat
 from .autodiff import grad_check
+from .data import _is_int
 from .fusion import FusionConfig
 from .metrics import InsufficientDataError, evaluate
-from .model import RjcmaModel, _is_int
+from .model import RjcmaModel
 from .train import NumericalError, TrainConfig, train_fold
 
 EXIT_OK = 0
@@ -195,11 +196,10 @@ def _fusion_config(records, spec: dat.WindowSpec, iterations: int) -> FusionConf
 
 
 def _folds(cfg: dict, sequence_ids: list[str]) -> dict[str, int]:
-    n_folds = cfg["n_folds"]
-    if not (_is_int(n_folds) and 1 <= n_folds <= len(sequence_ids)):
-        raise ConfigError(f"n_folds={n_folds!r} must be an integer in "
-                          f"[1, {len(sequence_ids)} sequences]")
-    return dat.make_folds(sequence_ids, n_folds, cfg["seed"])
+    try:
+        return dat.make_folds(sequence_ids, cfg["n_folds"], cfg["seed"])
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _load_splits(manifest: str, *splits: str) -> list[list[dat.SequenceRecord]]:
@@ -360,7 +360,7 @@ def _sweep(args, cfg: dict, rows_for, name: str, key: str, header: str) -> int:
 
 def _targets(args) -> tuple[str, ...]:
     """The targets `--target` of ablate and cv selects."""
-    return ("valence", "arousal") if args.targets == "both" else (args.targets,)
+    return dat.TARGETS if args.targets == "both" else (args.targets,)
 
 
 def _records_for(args, cfg):
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one per-target model")
     common(p)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--target", choices=("valence", "arousal"),
+    p.add_argument("--target", choices=dat.TARGETS,
                    help="the target to train (default: train.target)")
     p.add_argument("--iterations", type=int, help="recursion depth l")
     p.set_defaults(fn=cmd_train)
@@ -428,14 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--l-values", default="1,2,3,4")
     p.add_argument("--target", dest="targets", default="both",
-                   choices=("valence", "arousal", "both"))
+                   choices=(*dat.TARGETS, "both"))
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("cv", help="k-fold cross-validation")
     common(p)
     p.add_argument("--manifest")
     p.add_argument("--target", dest="targets", default="both",
-                   choices=("valence", "arousal", "both"))
+                   choices=(*dat.TARGETS, "both"))
     p.set_defaults(fn=cmd_cv)
 
     return parser

@@ -18,7 +18,9 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
+# checkpoint and parameter names follow this order
 MODALITIES = ("a", "v", "t")
+TARGETS = ("valence", "arousal")
 INVALID_LABEL = -5.0
 
 # normalization targets per modality: (mean, std)
@@ -428,11 +430,16 @@ def feature_dims(records: list[SequenceRecord]) -> dict[str, int]:
     return dims
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def make_folds(sequence_ids: list[str], n_folds: int, seed: int) -> dict[str, int]:
-    """Sequence-level fold assignment; fold 0 is the canonical train/val split."""
-    if not 1 <= n_folds <= len(sequence_ids):
-        raise ValueError(
-            f"n_folds={n_folds} is outside [1, {len(sequence_ids)} sequences]")
+    """Sequence-level fold assignment; fold 0 is the canonical train/val split.
+    Each fold is held out in turn, so at least two are needed."""
+    if not (_is_int(n_folds) and 2 <= n_folds <= len(sequence_ids)):
+        raise ValueError(f"n_folds={n_folds!r} must be an integer in "
+                         f"[2, {len(sequence_ids)} sequences]")
     rng = np.random.default_rng(seed)
     order = list(sequence_ids)
     rng.shuffle(order)

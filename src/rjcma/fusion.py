@@ -22,8 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-MODALITIES = ("a", "v", "t")
+from .data import MODALITIES
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,6 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
     for am in a:
         am *= s
     p = [ad._mm(x, w.data) for x, w in zip(xs, w_c)]
-    parents = (y, joint, *w_j, *w_c, *w_h)
     # this thread allocates every buffer; the pool's threads run numpy only
     c = np.empty((step, k, k))
     corr = None if keep is None else np.empty((len(xs), n, k, k))
@@ -226,8 +224,6 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
         keep += [{"corr": ad._value(cm.reshape(*y.shape[:-2], k, k)), "attended": ad._value(om),
                   "map": ad._value(hm.reshape(*y.shape[:-2], -1, k).copy())}
                  for cm, hm, om in zip(corr, h, np.split(out, splits, axis=-2))]
-    if not ad._recording(*parents):
-        return ad._value(out)
 
     def at_once(products):
         # independent GEMMs (left, right, out) on the pool, each whole (a
@@ -278,7 +274,7 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
                 *(np.matmul(gam, jd.swapaxes(-1, -2)).sum(axis=0) for gam in ga),
                 *gw_c, *gw_h)
 
-    return ad._make(out, parents, bwd)
+    return ad._make(out, (y, joint, *w_j, *w_c, *w_h), bwd)
 
 
 def predict_head(x_att: Tensor, params: dict[str, Tensor]) -> Tensor:

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import TARGETS
 
 EPS = 1e-12
 
@@ -81,8 +82,6 @@ def ccc_loss(pred: Tensor, gt, mask=None) -> Tensor:
         x, y, m = _validate(x, y, m)
         stats.append((m, x.size) + _concordance(x, y))
     value = sum(1.0 - rho for _, _, rho, *_ in stats) / len(stats)
-    if not ad._recording(pred):
-        return ad._value(np.array([[value]]))
 
     def bwd(g):
         grad = np.zeros_like(pred.data)
@@ -140,7 +139,7 @@ class EvalResult:
         return out
 
 
-def evaluate(predict_fn, windows, targets=("valence", "arousal")) -> EvalResult:
+def evaluate(predict_fn, windows, targets=TARGETS) -> EvalResult:
     """Global concatenated-frame CCC plus per-sequence diagnostics: the one
     place where frames are pooled into a CCC.
 
@@ -153,7 +152,7 @@ def evaluate(predict_fn, windows, targets=("valence", "arousal")) -> EvalResult:
         raise InsufficientDataError("empty partition")
     result = EvalResult()
     for target in targets:
-        if target not in ("valence", "arousal"):
+        if target not in TARGETS:
             raise ValueError(f"unknown target {target!r}")
         all_pred, all_gt = [], []
         by_seq: dict[str, tuple[list, list]] = {}

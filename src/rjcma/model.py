@@ -10,7 +10,7 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import temporal
 from .autodiff import Tensor
-from .data import MODALITIES, Normalizer, Window
+from .data import MODALITIES, TARGETS, Normalizer, Window, _is_int
 from .fusion import FusionConfig, init_params, rjcma_forward
 from .metrics import ccc_loss
 from .temporal import tcn_forward
@@ -22,7 +22,7 @@ class RjcmaModel:
 
     def __init__(self, config: FusionConfig, target: str, seed: int,
                  normalizer: Normalizer | None = None):
-        if target not in ("valence", "arousal"):
+        if target not in TARGETS:
             raise ValueError(f"unknown target {target!r}")
         self.config = config
         self.target = target
@@ -169,10 +169,6 @@ class RjcmaModel:
         except ValueError as e:
             raise ckpt.CheckpointError(f"{path}: {e}") from None
         return model
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # the config keys `RjcmaModel.load` reads, each with its JSON type

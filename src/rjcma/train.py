@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Normalizer, SequenceRecord, WindowSpec, window
+from .data import TARGETS, Normalizer, SequenceRecord, WindowSpec, window
 from .fusion import FusionConfig
 from .metrics import InsufficientDataError, evaluate
 from .model import RjcmaModel
@@ -41,7 +41,7 @@ class TrainConfig:
 
     def __post_init__(self):
         # each message starts with the offending field and its value
-        if self.target not in ("valence", "arousal"):
+        if self.target not in TARGETS:
             raise ValueError(f"target={self.target!r} is not valence or arousal")
         # written so that NaN fails every range check
         if not 0.0 < self.lr_init < math.inf:
@@ -255,7 +255,7 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
 
 def train_fold(records: list[SequenceRecord], val_ids: set[str],
                fusion_cfg: FusionConfig, window_spec: WindowSpec,
-               cfg: TrainConfig, targets=("valence", "arousal")):
+               cfg: TrainConfig, targets=TARGETS):
     """Train per-target models on one train/val split; returns (models, the
     `evaluate` report of the models on the validation windows, fits)."""
     train_recs = [r for r in records if r.id not in val_ids]

@@ -282,11 +282,8 @@ class TestGradCheck:
         x = Tensor([[1.0, 2.0, 3.0]], requires_grad=True)
 
         def f():
-            out = x.data * x.data
-            if not ad._recording(x):
-                return ad.tensor_sum(ad._value(out))
-            return ad.tensor_sum(ad._make(out, (x,), lambda g: (g * 2.0 * x.data
-                                                                 * [[1.0, np.nan, 1.0]],)))
+            return ad.tensor_sum(ad._make(x.data * x.data, (x,), lambda g: (
+                g * 2.0 * x.data * [[1.0, np.nan, 1.0]],)))
 
         report = ad.grad_check(f, {"x": x})
         assert np.isnan(report.errors["x"]) and np.isnan(report.max_error)

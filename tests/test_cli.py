@@ -359,7 +359,7 @@ class TestConfigValues:
         (["train", "--set", "window.stride=500"], "window.stride=500 is outside [1, K=20]"),
         (["train", "--set", "train.lr_min=1.0"], "train.lr_min=1.0 exceeds lr_init=0.003"),
         (["train", "--set", "window.K=abc"], "window.K must be int, got 'abc'"),
-        (["gen", "--set", "n_folds=5"], "n_folds=5 must be an integer in [1, 4 sequences]"),
+        (["gen", "--set", "n_folds=5"], "n_folds=5 must be an integer in [2, 4 sequences]"),
         (["train", "--set", "train.target=both"],
          "train.target='both' is not valence or arousal"),
         (["train", "--set", "train.seed=6"], "train.seed=6 differs from seed=5"),
@@ -378,7 +378,9 @@ class TestConfigValues:
         (["gen", "--set", "synthetic.invalid_label_prob=-0.1"],
          "synthetic.invalid_label_prob=-0.1 is outside [0, 1]"),
         (["gen", "--set", "synthetic.fps=-5"], "synthetic.fps=-5 is not a finite value > 0"),
-        (["cv", "--set", "n_folds=2.0"], "n_folds=2.0 must be an integer in [1, 4 sequences]"),
+        (["cv", "--set", "n_folds=2.0"], "n_folds=2.0 must be an integer in [2, 4 sequences]"),
+        (["cv", "--set", "n_folds=1"], "n_folds=1 must be an integer in [2, 4 sequences]"),
+        (["ablate", "--set", "n_folds=1"], "n_folds=1 must be an integer in [2, 4 sequences]"),
         (["train", "--set", "train.lr_init=NaN"], "train.lr_init=nan is not a finite value > 0"),
         (["train", "--set", "train.lr_init=-1", "--set", "train.lr_min=-2"],
          "train.lr_init=-1 is not a finite value > 0"),
@@ -394,7 +396,8 @@ class TestConfigValues:
             "target-both", "train-seed-differs", "negative-seed-flag", "negative-seed-flag-gen",
             "negative-seed", "negative-latent-step-sigma", "nan-latent-step-sigma",
             "negative-noise-sigma", "negative-n-private", "dropout-prob-above-1",
-            "invalid-label-prob-below-0", "negative-fps", "float-folds", "nan-lr-init",
+            "invalid-label-prob-below-0", "negative-fps", "float-folds", "one-fold-cv",
+            "one-fold-ablate", "nan-lr-init",
             "negative-lr-init", "nan-lr-min", "negative-weight-decay", "zero-max-epochs",
             "negative-warmup-epochs", "negative-plateau-patience",
             "negative-early-stop-patience"])
@@ -506,8 +509,7 @@ class TestGradcheck:
 
         def broken_tanh(a):
             out = np.tanh(a.data)
-            return ad.Tensor(out, _parents=(a,),
-                             _backward_fn=lambda g: (g * (1.0 - out),))
+            return ad._make(out, (a,), lambda g: (g * (1.0 - out),))
 
         monkeypatch.setattr(ad, "tanh", broken_tanh)
         try:

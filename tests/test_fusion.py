@@ -365,6 +365,16 @@ class TestAttentionStep:
                 np.testing.assert_array_equal(g_w[3 * kind + m], part[5 + kind])
         np.testing.assert_array_equal(g_j, parts[0][4] + parts[1][4] + parts[2][4])
 
+    def test_kept_attended_rows_are_views_of_the_returned_stack(self):
+        y, joint, *weights = step_batch(np.random.default_rng(17), 3)
+        keep = []
+        out = fu.attention_step(Tensor.stack(y), Tensor.stack(joint),
+                                *([Tensor(a) for a in group] for group in weights), keep)
+        rows = np.split(out.data, np.cumsum(WIDTHS)[:-1], axis=-2)
+        for kept, want in zip(keep, rows, strict=True):
+            assert np.shares_memory(kept["attended"].data, out.data)
+            np.testing.assert_array_equal(kept["attended"].data, want)
+
     def test_small_items_run_on_this_thread(self, monkeypatch, interleaved):
         # at the default block size a K=5 item holds far less than half a
         # block of C, which costs more to hand to the pool than it gains

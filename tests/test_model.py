@@ -222,9 +222,16 @@ class TestBatchedPath:
         model, wins = batch_setup()
         recorded = model.forward_window([wins[0]]).predictions
         assert recorded._parents
-        nodes = []
+        # every op result passes through _make, which keeps no node under no_grad
+        results = []
         make = ad._make
-        monkeypatch.setattr(ad, "_make", lambda *args: nodes.append(args) or make(*args))
+
+        def make_and_keep(*args):
+            results.append(make(*args))
+            return results[-1]
+
+        monkeypatch.setattr(ad, "_make", make_and_keep)
         pred = model.predict(wins[0])
-        assert nodes == []
+        assert results
+        assert all(t._parents == () and t._backward_fn is None for t in results)
         np.testing.assert_array_equal(pred, recorded.data.ravel())
