@@ -181,9 +181,15 @@ def _synthetic_config(cfg: dict) -> dat.SyntheticConfig:
 
 
 def _window_spec(cfg: dict, K: int | None = None) -> dat.WindowSpec:
-    """The window section; `K` (a checkpoint's) replaces window.K."""
+    """The window section; `K` (a checkpoint's) replaces window.K. An error
+    in the section names window.K where it is used: it bounds the stride."""
     window = cfg["window"] if K is None else {**cfg["window"], "K": K}
-    return _build(dat.WindowSpec, "window", window)
+    try:
+        return _build(dat.WindowSpec, "window", window)
+    except ConfigError as e:
+        if K is not None or "window.K" in str(e):
+            raise
+        raise ConfigError(f"{e} (window.K={window['K']!r})") from None
 
 
 def _fusion_config(records, spec: dat.WindowSpec, iterations: int) -> FusionConfig:
@@ -195,11 +201,17 @@ def _fusion_config(records, spec: dat.WindowSpec, iterations: int) -> FusionConf
                         K=spec.K, iterations=iterations)
 
 
-def _folds(cfg: dict, sequence_ids: list[str]) -> dict[str, int]:
+def _folds(cfg: dict, sequence_ids: list[str], synthetic: bool) -> dict[str, int]:
+    """The fold of each sequence. When the sequences were generated from the
+    synthetic section (`synthetic`), a set too small for n_folds is also
+    named by synthetic.n_sequences, the key that sized it."""
     try:
         return dat.make_folds(sequence_ids, cfg["n_folds"], cfg["seed"])
     except ValueError as e:
-        raise ConfigError(str(e)) from None
+        message, n_folds = str(e), cfg["n_folds"]
+        if synthetic and _is_int(n_folds) and n_folds > len(sequence_ids):
+            message += f": synthetic.n_sequences={len(sequence_ids)} is below n_folds"
+        raise ConfigError(message) from None
 
 
 def _load_splits(manifest: str, *splits: str) -> list[list[dat.SequenceRecord]]:
@@ -220,7 +232,7 @@ def _load_splits(manifest: str, *splits: str) -> list[list[dat.SequenceRecord]]:
 def cmd_gen(args) -> int:
     cfg = load_config(args.config, args.set, args)
     records = dat.generate_synthetic(_synthetic_config(cfg), cfg["seed"])
-    folds = _folds(cfg, [r.id for r in records])
+    folds = _folds(cfg, [r.id for r in records], synthetic=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -269,7 +281,7 @@ def cmd_eval(args) -> int:
             f"{recs[0].id}: feature dims {dims} do not match checkpoint {expected}")
     windows = [w for r in recs for w in dat.window(r, spec)]
     try:
-        report = evaluate(model.predict, windows, (model.target,))
+        report = evaluate(model.predict_windows, windows, (model.target,))
     except InsufficientDataError as e:
         raise InsufficientDataError(f"{args.manifest} split {args.split!r}: {e}") from None
     run_dir = new_run_dir(args.out)
@@ -337,7 +349,8 @@ def _sweep(args, cfg: dict, rows_for, name: str, key: str, header: str) -> int:
     is made. Writes the table to `<name>.json` and `<name>.txt` and prints it."""
     spec = _window_spec(cfg)
     records = _records_for(args, cfg)
-    assignment = _folds(cfg, [r.id for r in records])
+    assignment = _folds(cfg, [r.id for r in records],
+                        synthetic=not getattr(args, "manifest", None))
     rows = rows_for(cfg["n_folds"])
     tcfgs = [_train_config(cfg, iterations=l) for _, _, l in rows]
     fusion_cfgs = [_fusion_config(records, spec, tcfg.iterations) for tcfg in tcfgs]

@@ -119,13 +119,39 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
+class _Busy(threading.local):
+    item = False            # true on a thread while it runs a `_for_each` item
+
+
+_busy = _Busy()
+
+
+def _threads(block_bytes: int, n_items: int) -> int:
+    """Threads for a `_for_each` over `n_items` items that each work on
+    `block_bytes` of C. Items of less than half of `_BLOCK_BYTES` (a
+    one-window item below K=256) run on this thread alone: on 2 CPUs the
+    pool's hand-off cost more than it gained up to 256 KB, and gained nothing
+    at 384-512 KB. So do the items of a call made inside an item of another
+    `_for_each`."""
+    if 2 * block_bytes < _BLOCK_BYTES or _busy.item:
+        return 1
+    return max(1, min(_WORKERS, n_items))
+
+
 def _for_each(fn, items: list, buffers: list[tuple]) -> list:
     """fn(item, *buffers[t]) once for every item, on one thread t per tuple
     of buffers: t = 0 is this thread and runs items[0] first, the pool runs
     the others. A thread takes the next item when it is free, so one that
     other load on its CPU slows down takes fewer. Returns the items this
     thread ran, in order. Waits for every thread before it returns or
-    raises."""
+    raises.
+
+    A call made while this thread runs an item of another `_for_each` runs
+    every item here, with buffers[0]: the other threads are busy with the
+    outer items already, and a pool thread that queued work on its own
+    one-thread pool and waited for it would wait forever."""
+    if _busy.item:
+        buffers = buffers[:1]
     lock = threading.Lock()
     rest = iter(items[1:])
 
@@ -134,10 +160,14 @@ def _for_each(fn, items: list, buffers: list[tuple]) -> list:
             return next(rest, None)
 
     def run(bufs, first=()):
+        outer, _busy.item = _busy.item, True
         ran = []
-        for item in itertools.chain(first, iter(take, None)):
-            fn(item, *bufs)
-            ran.append(item)
+        try:
+            for item in itertools.chain(first, iter(take, None)):
+                fn(item, *bufs)
+                ran.append(item)
+        finally:
+            _busy.item = outer
         return ran
 
     futures = [_executor(len(buffers) - 1).submit(run, bufs) for bufs in buffers[1:]]
@@ -183,10 +213,7 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
     xs = np.split(yd, splits, axis=1)              # views of each modality's rows
     step = max(1, min(n, _BLOCK_BYTES // (8 * k * k)))
     items = [(m, slice(i, min(i + step, n))) for m in range(len(xs)) for i in range(0, n, step)]
-    # an item of less than half a block of C runs on this thread alone: on
-    # 2 CPUs the pool's hand-off cost more than it gained up to 256 KB, and
-    # gained nothing at 384-512 KB (a K=64 batch of 12-16 windows)
-    threads = min(_WORKERS, len(items)) if 2 * 8 * k * k * step >= _BLOCK_BYTES else 1
+    threads = _threads(8 * k * k * step, len(items))
     a = [np.matmul(w.data, jd) for w in w_j]
     for am in a:
         am *= s

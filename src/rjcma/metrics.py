@@ -143,10 +143,11 @@ def evaluate(predict_fn, windows, targets=TARGETS) -> EvalResult:
     """Global concatenated-frame CCC plus per-sequence diagnostics: the one
     place where frames are pooled into a CCC.
 
-    `predict_fn(window, target)` must return a length-K array of per-frame
-    predictions, and is called once per window that has a valid frame for
-    the target. Every valid frame of such a window is pooled, across all
-    windows of the partition.
+    `predict_fn(windows, target)` is called once per target, on the list of
+    windows that have a valid frame for the target, in partition order, and
+    must return one length-K array of per-frame predictions per window, in
+    the same order (`RjcmaModel.predict_windows`). Every valid frame of
+    such a window is pooled, across all windows of the partition.
     """
     if not windows:
         raise InsufficientDataError("empty partition")
@@ -154,21 +155,22 @@ def evaluate(predict_fn, windows, targets=TARGETS) -> EvalResult:
     for target in targets:
         if target not in TARGETS:
             raise ValueError(f"unknown target {target!r}")
+        scored = [(w, mask) for w in windows if (mask := w.label_mask(target)).any()]
+        if not scored:
+            raise InsufficientDataError(f"no valid frames for target {target}")
+        preds = predict_fn([w for w, _ in scored], target)
+        if len(preds) != len(scored):
+            raise ValueError(f"{len(preds)} predictions for {len(scored)} windows")
         all_pred, all_gt = [], []
         by_seq: dict[str, tuple[list, list]] = {}
-        for w in windows:
-            mask = w.label_mask(target)
-            if not mask.any():
-                continue
-            pred = np.asarray(predict_fn(w, target)).ravel()[mask]
+        for (w, mask), pred in zip(scored, preds):
+            pred = np.asarray(pred).ravel()[mask]
             gt = w.labels(target)[mask]
             all_pred.append(pred)
             all_gt.append(gt)
             bucket = by_seq.setdefault(w.sequence_id, ([], []))
             bucket[0].append(pred)
             bucket[1].append(gt)
-        if not all_pred:
-            raise InsufficientDataError(f"no valid frames for target {target}")
         pred = np.concatenate(all_pred)
         gt = np.concatenate(all_gt)
         setattr(result, f"ccc_{target}", ccc(pred, gt))

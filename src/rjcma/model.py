@@ -11,7 +11,7 @@ from . import checkpoint as ckpt
 from . import temporal
 from .autodiff import Tensor
 from .data import MODALITIES, TARGETS, Normalizer, Window, _is_int
-from .fusion import FusionConfig, init_params, rjcma_forward
+from .fusion import FusionConfig, _for_each, _threads, init_params, rjcma_forward
 from .metrics import ccc_loss
 from .temporal import tcn_forward
 
@@ -86,6 +86,23 @@ class RjcmaModel:
         with ad.no_grad():
             out = self.forward_window([win])
         return out.predictions.data.ravel().copy()
+
+    def predict_windows(self, windows: Sequence[Window],
+                        target: str | None = None) -> list[np.ndarray]:
+        """`[self.predict(w, target) for w in windows]`, the windows spread
+        over the threads of `fusion._for_each` where a window's K x K C is
+        large enough to gain from them (`fusion._threads`: K >= 256). Each
+        thread takes the next window and runs its whole forward, every
+        attention step inline, so a window gets the same numpy calls on any
+        thread and the predictions are the same bit for bit."""
+        out = [None] * len(windows)
+
+        def one(i):
+            out[i] = self.predict(windows[i], target)
+
+        k = self.config.K
+        _for_each(one, list(range(len(windows))), [()] * _threads(8 * k * k, len(windows)))
+        return out
 
     def loss_on_batch(self, windows: Sequence[Window]) -> Tensor:
         """Mean over the windows of 1 - CCC on each window's valid frames."""

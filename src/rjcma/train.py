@@ -228,7 +228,7 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
                       cfg.weight_decay)
             epoch_losses.append(value)
 
-        val_ccc = evaluate(model.predict, val_windows, (target,)).target_ccc(target)
+        val_ccc = evaluate(model.predict_windows, val_windows, (target,)).target_ccc(target)
         improved = val_ccc > best_ccc
         if improved:
             best_ccc = val_ccc
@@ -271,6 +271,6 @@ def train_fold(records: list[SequenceRecord], val_ids: set[str],
                            normalizer=normalizer)
         fits[target] = fit(model, train_windows, val_windows, cfg)
         models[target] = fits[target].model
-    result = evaluate(lambda w, t: models[t].predict(w, t), val_windows, targets)
+    result = evaluate(lambda ws, t: models[t].predict_windows(ws, t), val_windows, targets)
     return models, result, fits
 

@@ -212,7 +212,7 @@ def test_recipe_fidelity(capsys):
                          max_epochs=8, warmup_epochs=1, seed=0)
     result = tr.fit(model, train_w, val_w, cfg)
     best_ok = (result.best_val_ccc == max(h.val_ccc for h in result.history)
-               and evaluate(result.model.predict, val_w, ("valence",)).ccc_valence
+               and evaluate(result.model.predict_windows, val_w, ("valence",)).ccc_valence
                == result.best_val_ccc)
     announce(capsys, "recipe fidelity", ladder_ok and best_ok,
              "lr ladder 1e-5 .. 1e-8; best-state reload exact")

@@ -392,6 +392,10 @@ class TestConfigValues:
         (["train", "--set", "train.plateau_patience=-1"], "train.plateau_patience=-1 is negative"),
         (["train", "--set", "train.early_stop_patience=-1"],
          "train.early_stop_patience=-1 is negative"),
+        (["cv", "--set", "synthetic.n_sequences=1"],
+         "n_folds=2 must be an integer in [2, 1 sequences]: "
+         "synthetic.n_sequences=1 is below n_folds"),
+        (["cv", "--set", "window.K=1"], "window.stride=15 is outside [1, K=1] (window.K=1)"),
     ], ids=["stride-above-K", "lr-min-above-lr-init", "K-not-int", "folds-above-sequences",
             "target-both", "train-seed-differs", "negative-seed-flag", "negative-seed-flag-gen",
             "negative-seed", "negative-latent-step-sigma", "nan-latent-step-sigma",
@@ -400,7 +404,7 @@ class TestConfigValues:
             "one-fold-ablate", "nan-lr-init",
             "negative-lr-init", "nan-lr-min", "negative-weight-decay", "zero-max-epochs",
             "negative-warmup-epochs", "negative-plateau-patience",
-            "negative-early-stop-patience"])
+            "negative-early-stop-patience", "one-sequence-cv", "K-below-stride"])
     def test_exits_with_usage_error_naming_key(self, tmp_path, smoke_config, dataset,
                                                capsys, argv, message):
         rc = cli.main(argv + ["--config", smoke_config, "--out", str(tmp_path / "o")]
@@ -635,7 +639,7 @@ def smoke_config_path(tmp_path_factory):
 
 
 # strings, lists and objects no key takes; the examples below add NaN,
-# +-inf, 0, -1, bools and null
+# +-inf, 0, 1, -1, bools and null
 JSON_VALUES = st.one_of(st.text(max_size=4), st.lists(st.integers(), max_size=2),
                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
 
@@ -665,6 +669,6 @@ def test_every_config_key_takes_a_value_or_is_rejected_by_name(smoke_config_path
                 (argv, err.getvalue())
 
 
-for _value in (math.nan, math.inf, -math.inf, 0, -1, 0.0, -1.0, True, False, None):
+for _value in (math.nan, math.inf, -math.inf, 0, 1, -1, 0.0, -1.0, True, False, None):
     test_every_config_key_takes_a_value_or_is_rejected_by_name = example(value=_value)(
         test_every_config_key_takes_a_value_or_is_rejected_by_name)

@@ -1,10 +1,14 @@
 import math
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,6 +510,37 @@ class TestBranchThreads:
         fu._for_each(fn, list(range(8)), [("a",), ("b",), ("c",)])
         assert all(len(names) == 1 for names in used.values())
         assert len({name for names in used.values() for name in names}) == len(used)
+
+    def test_a_nested_call_runs_inline_and_returns(self):
+        # a _for_each inside an item, on this thread or the pool's, runs every
+        # item on the item's thread; run in a child with a timeout, since a
+        # pool thread that waited on its own one-thread pool would hang
+        code = textwrap.dedent("""
+            import threading, time
+            from rjcma import fusion as fu
+
+            fu._WORKERS, inner = 2, []
+
+            def outer(i):
+                me = threading.current_thread()
+                assert fu._threads(fu._BLOCK_BYTES, 4) == 1
+                ran = fu._for_each(lambda j: inner.append((i, threading.current_thread() is me)),
+                                   [0, 1, 2, 3], [(), ()])
+                assert ran == [0, 1, 2, 3]
+                time.sleep(0.02)
+                return me
+
+            outers = set()
+            fu._for_each(lambda i: outers.add(outer(i)), list(range(4)), [(), ()])
+            assert len(outers) == 2
+            assert sorted(inner) == [(i, True) for i in range(4) for _ in range(4)]
+            assert fu._threads(fu._BLOCK_BYTES, 4) == 2
+            print("ok")
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(fu.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_runs_on_its_own_pool(self):

@@ -143,8 +143,8 @@ class FakeWindow:
 
 class TestEvaluate:
     @staticmethod
-    def predict(window, target):
-        return window.pred
+    def predict(windows, target):
+        return [w.pred for w in windows]
 
     def test_perfect_model(self):
         rng = np.random.default_rng(0)

@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from rjcma import autodiff as ad
 from rjcma import checkpoint as ck
 from rjcma import data as dat
+from rjcma import fusion as fu
 from rjcma.fusion import FusionConfig
 from rjcma.metrics import ccc
 from rjcma.model import RjcmaModel
@@ -235,3 +244,119 @@ class TestBatchedPath:
         assert results
         assert all(t._parents == () and t._backward_fn is None for t in results)
         np.testing.assert_array_equal(pred, recorded.data.ravel())
+
+
+# predict_windows against one predict per window, at K=300 on `workers`
+# threads, in a child whose OpenBLAS runs one thread: each window's
+# predict sleeps 10 ms first, so that every thread takes windows
+_PREDICT_WINDOWS_BITS = textwrap.dedent("""
+    import sys, threading, time
+    import numpy as np
+    from rjcma import data as dat, fusion as fu
+    from rjcma.model import RjcmaModel
+
+    workers, k = int(sys.argv[1]), 300
+    fu._WORKERS = workers
+    rng = np.random.default_rng(workers)
+    model = RjcmaModel(fu.FusionConfig(4, 4, 4, K=k), "valence", seed=3)
+    for name, p in model.parameters().items():
+        if "/W_c" in name or "/W_h" in name:
+            p.data = rng.uniform(-1.0, 1.0, size=p.data.shape) / np.sqrt(k)
+    wins = [dat.Window(sequence_id="w", offset=i,
+                       features={m: rng.normal(size=(4, k)) for m in dat.MODALITIES},
+                       valence=np.zeros(k), arousal=np.zeros(k)) for i in range(6)]
+    serial = [model.predict(w) for w in wins]
+    predict, threads = model.predict, set()
+
+    def spy(win, target=None):
+        threads.add(threading.current_thread())
+        time.sleep(0.01)
+        return predict(win, target)
+
+    model.predict = spy
+    got = model.predict_windows(wins)
+    assert len(got) == len(serial)
+    assert all(g.tobytes() == s.tobytes() for g, s in zip(got, serial))
+    assert len(threads) == workers, threads
+    print("ok")
+""")
+
+
+def _child(code: str, *args: str) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter on this package, OpenBLAS held to
+    one thread; a child that runs for 60 s is killed and fails the test."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(fu.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, timeout=60,
+                          capture_output=True, text=True)
+
+
+class TestPredictWindows:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equals_predict_per_window_bit_for_bit(self, workers):
+        proc = _child(_PREDICT_WINDOWS_BITS, str(workers))
+        assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+    def test_small_K_runs_every_window_on_the_calling_thread(self, monkeypatch):
+        # a K=64 window's C is below half a block: threads would cost more
+        monkeypatch.setattr(fu, "_WORKERS", 2)
+        model, _ = batch_setup(k=64)
+        wins, threads = [make_window(k=64, seed=i) for i in range(4)], set()
+        predict = model.predict
+
+        def spy(win, target=None):
+            threads.add(threading.current_thread())
+            return predict(win, target)
+
+        monkeypatch.setattr(model, "predict", spy)
+        got = model.predict_windows(wins)
+        assert threads == {threading.current_thread()}
+        for g, w in zip(got, wins, strict=True):
+            np.testing.assert_array_equal(g, predict(w))
+
+    @pytest.mark.parametrize("failing", [0, 3])
+    def test_a_failing_window_raises_after_every_thread_finished(self, monkeypatch,
+                                                                   failing):
+        # window 0 is this thread's first; window 3 goes to whichever thread
+        # is free
+        monkeypatch.setattr(fu, "_WORKERS", 2)
+        model = RjcmaModel(FusionConfig(1, 1, 1, K=256, iterations=1), "valence", seed=0)
+        finished = []
+
+        def predict(i, target=None):
+            if i == failing:
+                raise ValueError(f"window {i}")
+            time.sleep(0.05)
+            finished.append(i)
+            return np.zeros(256)
+
+        monkeypatch.setattr(model, "predict", predict)
+        with pytest.raises(ValueError, match=f"window {failing}"):
+            model.predict_windows(list(range(6)))
+        assert sorted(finished) == [i for i in range(6) if i != failing]
+
+    def test_more_threads_than_cpus_predict_every_window_once_in_place(self, monkeypatch):
+        # 6 threads, a 1 us switch interval: a lost or doubled take of the
+        # next window, or a prediction stored at another window's index,
+        # shows in the calls or the order
+        monkeypatch.setattr(fu, "_WORKERS", 6)
+        model = RjcmaModel(FusionConfig(1, 1, 1, K=256, iterations=1), "valence", seed=0)
+        calls, result = [], []
+
+        def predict(i, target=None):
+            calls.append(i)
+            return np.full(3, float(i))
+
+        monkeypatch.setattr(model, "predict", predict)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t = threading.Thread(
+                target=lambda: result.append(model.predict_windows(list(range(200)))))
+            t.start()
+            t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not t.is_alive()
+        assert sorted(calls) == list(range(200))
+        assert [p[0] for p in result[0]] == list(range(200))

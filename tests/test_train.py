@@ -206,7 +206,7 @@ class TestFit:
         best_in_history = max(h.val_ccc for h in result.history)
         assert result.best_val_ccc == best_in_history
         # the returned model reproduces the historical best exactly
-        report = evaluate(result.model.predict, val_w, targets=("valence",))
+        report = evaluate(result.model.predict_windows, val_w, targets=("valence",))
         assert report.ccc_valence == best_in_history
 
     def test_deterministic(self):
