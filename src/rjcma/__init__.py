@@ -10,8 +10,8 @@ import os
 import sys
 
 # OpenBLAS reads this when numpy loads it. With one BLAS thread per product,
-# `fusion.attention_step` runs its K x K blocks on one thread per CPU; a
-# process that loaded numpy first keeps the BLAS threads it has.
+# `rjcma.parallel` (the worker count, size rule and nesting rule) runs one
+# thread per CPU; a process that loaded numpy first keeps its BLAS threads.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

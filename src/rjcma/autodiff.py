@@ -193,12 +193,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
     return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
@@ -217,11 +211,6 @@ def add_col_bias(x: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"bias shape {b.shape} incompatible with {x.shape}")
     return _make(x.data + b.data, (x, b),
                  lambda g: (g, _unbatch(g.sum(axis=-1, keepdims=True), b.data)))
-
-
-def tensor_sum(a: Tensor) -> Tensor:
-    return _make(np.array([[a.data.sum()]]), (a,),
-                 lambda g: (np.full_like(a.data, g[0, 0]),))
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,15 @@ small MLP regression head producing one prediction per frame in [-1, 1].
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import reduce
 
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import Tensor
 from .data import MODALITIES
 
@@ -84,102 +81,6 @@ def joint_representation(y: Tensor, fc_w: Tensor, fc_b: Tensor) -> Tensor:
     return ad.add_col_bias(ad.matmul(fc_w, y), fc_b)
 
 
-# bytes of one block of K x K correlation C that a thread of
-# `attention_step` works on (and, in the backward, of its gradient): small
-# enough to stay in a core's L2
-_BLOCK_BYTES = 1 << 20
-
-
-def _worker_count(cpus: int, env) -> int:
-    """Threads for the K x K work of `attention_step`: the CPUs this process
-    may run on, divided by the threads OpenBLAS runs each product on. OpenBLAS
-    takes that count from OPENBLAS_NUM_THREADS, else from OMP_NUM_THREADS,
-    and else runs one thread per CPU, which leaves one worker."""
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            blas = int(env.get(name, ""))
-        except ValueError:
-            continue
-        if blas > 0:
-            return max(1, cpus // blas)
-    return 1
-
-
-_WORKERS = _worker_count(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                         else os.cpu_count() or 1, os.environ)
-
-
-@cache
-def _executor(threads: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(threads, thread_name_prefix="rjcma-step")
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child has none of the pool's threads; it makes its own pool
-    os.register_at_fork(after_in_child=_executor.cache_clear)
-
-
-class _Busy(threading.local):
-    item = False            # true on a thread while it runs a `_for_each` item
-
-
-_busy = _Busy()
-
-
-def _threads(block_bytes: int, n_items: int) -> int:
-    """Threads for a `_for_each` over `n_items` items that each work on
-    `block_bytes` of C. Items of less than half of `_BLOCK_BYTES` (a
-    one-window item below K=256) run on this thread alone: on 2 CPUs the
-    pool's hand-off cost more than it gained up to 256 KB, and gained nothing
-    at 384-512 KB. So do the items of a call made inside an item of another
-    `_for_each`."""
-    if 2 * block_bytes < _BLOCK_BYTES or _busy.item:
-        return 1
-    return max(1, min(_WORKERS, n_items))
-
-
-def _for_each(fn, items: list, buffers: list[tuple]) -> list:
-    """fn(item, *buffers[t]) once for every item, on one thread t per tuple
-    of buffers: t = 0 is this thread and runs items[0] first, the pool runs
-    the others. A thread takes the next item when it is free, so one that
-    other load on its CPU slows down takes fewer. Returns the items this
-    thread ran, in order. Waits for every thread before it returns or
-    raises.
-
-    A call made while this thread runs an item of another `_for_each` runs
-    every item here, with buffers[0]: the other threads are busy with the
-    outer items already, and a pool thread that queued work on its own
-    one-thread pool and waited for it would wait forever."""
-    if _busy.item:
-        buffers = buffers[:1]
-    lock = threading.Lock()
-    rest = iter(items[1:])
-
-    def take():
-        with lock:
-            return next(rest, None)
-
-    def run(bufs, first=()):
-        outer, _busy.item = _busy.item, True
-        ran = []
-        try:
-            for item in itertools.chain(first, iter(take, None)):
-                fn(item, *bufs)
-                ran.append(item)
-        finally:
-            _busy.item = outer
-        return ran
-
-    futures = [_executor(len(buffers) - 1).submit(run, bufs) for bufs in buffers[1:]]
-    try:
-        ran = run(buffers[0], items[:1])
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
-    return ran
-
-
 def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor],
                    w_h: list[Tensor], keep: list | None = None) -> Tensor:
     """One recursion step over the (B, d, K) stack Y of every modality, as
@@ -189,14 +90,15 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
 
     Each product with a shared K x K weight, and each of their gradients, is
     one GEMM over the batch's stacked rows. The K x K work runs per
-    (modality, block of windows whose C fits in `_BLOCK_BYTES`) item, while
-    the block's C is in cache, all items on one `_for_each`; each thread
-    reuses one buffer of C, and an item gets the same numpy calls on any
-    thread. A recorded node keeps this thread's buffer only: the backward
-    starts with the item whose C is still in it and recomputes the others'.
-    A `keep` list receives a dict per modality of copies of its C ("corr")
-    and attention map H ("map"), and its attended rows ("attended"), a view
-    of the returned stack.
+    (modality, block of windows whose C fits in `parallel.BLOCK_BYTES`)
+    item, while the block's C is in cache, all items on one
+    `parallel.for_each`, whose worker count, size rule and nesting rule
+    pick the threads; each thread reuses one buffer of C, and an item gets
+    the same numpy calls on any thread. A recorded node keeps this thread's
+    buffer only: the backward starts with the item whose C is still in it
+    and recomputes the others'. A `keep` list receives a dict per modality
+    of copies of its C ("corr") and attention map H ("map"), and its
+    attended rows ("attended"), a view of the returned stack.
     """
     k = y.cols
     if (sum(w.rows for w in w_j) != y.rows or not len(w_j) == len(w_c) == len(w_h)
@@ -211,9 +113,10 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
     n = len(yd)
     splits = np.cumsum([w.rows for w in w_j])[:-1]
     xs = np.split(yd, splits, axis=1)              # views of each modality's rows
-    step = max(1, min(n, _BLOCK_BYTES // (8 * k * k)))
+    window_c = k * k * yd.itemsize                 # bytes of one window's C
+    step = max(1, min(n, parallel.BLOCK_BYTES // window_c))
     items = [(m, slice(i, min(i + step, n))) for m in range(len(xs)) for i in range(0, n, step)]
-    threads = _threads(8 * k * k * step, len(items))
+    threads = parallel.threads_for(window_c * step, len(items))
     a = [np.matmul(w.data, jd) for w in w_j]
     for am in a:
         am *= s
@@ -241,8 +144,8 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
         hb += 0.0                                    # relu: NaN and -0.0 give +0.0
 
     # the last item this thread ran; its C is still in `c`
-    held = _for_each(attend, items,
-                     [(c,)] + [(np.empty_like(c),) for _ in range(threads - 1)])[-1]
+    held = parallel.for_each(attend, items,
+                             [(c,)] + [(np.empty_like(c),) for _ in range(threads - 1)])[-1]
     out = np.empty_like(yd)
     for x, hm, w, om in zip(xs, h, w_h, np.split(out, splits, axis=1)):
         np.add(ad._mm(hm, w.data), x, out=om)
@@ -255,8 +158,8 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
     def at_once(products):
         # independent GEMMs (left, right, out) on the pool, each whole (a
         # GEMM split in slabs changes its bits)
-        _for_each(lambda lro: np.matmul(lro[0], lro[1], out=lro[2]), products,
-                  [()] * min(threads, len(products)))
+        parallel.for_each(lambda lro: np.matmul(lro[0], lro[1], out=lro[2]), products,
+                          [()] * min(threads, len(products)))
 
     def bwd(g):
         gs = [np.ascontiguousarray(gm) for gm in np.split(g.reshape(yd.shape), splits, axis=1)]
@@ -284,9 +187,9 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
             np.matmul(xs[m][blk], gc, out=ga[m][blk])
             np.matmul(a[m][blk], gc.swapaxes(-1, -2), out=gx[m][blk])
 
-        _for_each(backprop, [held] + [item for item in items if item is not held],
-                  [(c, np.empty_like(c))]
-                  + [(np.empty_like(c), np.empty_like(c)) for _ in range(threads - 1)])
+        parallel.for_each(backprop, [held] + [item for item in items if item is not held],
+                          [(c, np.empty_like(c))]
+                          + [(np.empty_like(c), np.empty_like(c)) for _ in range(threads - 1)])
         # dL/dP W_c^T goes to gq's buffers, which are free now
         at_once([lro for x, gpm, w, gwm, gxm in zip(xs, gp, w_c, gw_c, gq)
                  for lro in ((x.reshape(rows).T, gpm.reshape(rows), gwm),

@@ -8,10 +8,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint as ckpt
-from . import temporal
+from . import parallel, temporal
 from .autodiff import Tensor
 from .data import MODALITIES, TARGETS, Normalizer, Window, _is_int
-from .fusion import FusionConfig, _for_each, _threads, init_params, rjcma_forward
+from .fusion import FusionConfig, init_params, rjcma_forward
 from .metrics import ccc_loss
 from .temporal import tcn_forward
 
@@ -89,19 +89,19 @@ class RjcmaModel:
 
     def predict_windows(self, windows: Sequence[Window],
                         target: str | None = None) -> list[np.ndarray]:
-        """`[self.predict(w, target) for w in windows]`, the windows spread
-        over the threads of `fusion._for_each` where a window's K x K C is
-        large enough to gain from them (`fusion._threads`: K >= 256). Each
-        thread takes the next window and runs its whole forward, every
-        attention step inline, so a window gets the same numpy calls on any
-        thread and the predictions are the same bit for bit."""
+        """`[self.predict(w, target) for w in windows]`, spread over up to
+        `parallel.WORKERS` threads of `parallel.for_each` where a window's
+        K x K C is large enough to gain from them (`parallel.threads_for`:
+        K >= 256 in f64). Each thread takes the next window and runs its
+        whole forward, every attention step inline (the nesting rule), so a
+        window gets the same numpy calls on any thread and the same bits."""
         out = [None] * len(windows)
 
         def one(i):
             out[i] = self.predict(windows[i], target)
 
-        k = self.config.K
-        _for_each(one, list(range(len(windows))), [()] * _threads(8 * k * k, len(windows)))
+        parallel.for_each(one, list(range(len(windows))), [()] * parallel.threads_for(
+            self.config.K ** 2 * self.params["fc_joint/w"].data.itemsize, len(windows)))
         return out
 
     def loss_on_batch(self, windows: Sequence[Window]) -> Tensor:

@@ -16,6 +16,7 @@ from rjcma import autodiff as ad
 from rjcma import cli
 from rjcma import data as dat
 from rjcma import fusion as fu
+from rjcma import parallel
 from rjcma import temporal as tc
 from rjcma import train as tr
 from rjcma.autodiff import Tensor
@@ -290,8 +291,8 @@ def test_train_run_is_the_same_for_any_worker_count(tmp_path, monkeypatch):
     # shared out across threads; the run directory must not depend on their
     # number. Each block waits 1 ms first, so that the pool's threads take
     # blocks at this small K too.
-    monkeypatch.setattr(fu, "_BLOCK_BYTES", 8 * 20 * 20)
-    for_each, threads = fu._for_each, set()
+    monkeypatch.setattr(parallel, "BLOCK_BYTES", 8 * 20 * 20)
+    for_each, threads = parallel.for_each, set()
 
     def sleepy(fn, items, buffers):
         def slow(item, *bufs):
@@ -300,13 +301,13 @@ def test_train_run_is_the_same_for_any_worker_count(tmp_path, monkeypatch):
             fn(item, *bufs)
         return for_each(slow, items, buffers)
 
-    monkeypatch.setattr(fu, "_for_each", sleepy)
+    monkeypatch.setattr(parallel, "for_each", sleepy)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(STRUCT_CFG))
     assert cli.main(["gen", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
     runs = {}
     for workers in (1, 2):
-        monkeypatch.setattr(fu, "_WORKERS", workers)
+        monkeypatch.setattr(parallel, "WORKERS", workers)
         out = tmp_path / f"runs-{workers}"
         assert cli.main(["train", "--config", str(config),
                          "--manifest", str(tmp_path / "data" / "manifest.json"),

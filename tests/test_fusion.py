@@ -15,8 +15,11 @@ import pytest
 
 from rjcma import autodiff as ad
 from rjcma import fusion as fu
+from rjcma import parallel
 from rjcma.autodiff import Tensor
 from rjcma.metrics import ccc_loss
+
+from helpers import dot
 
 
 def make_inputs(cfg, seed=0, mags=1.0):
@@ -201,11 +204,11 @@ class TestAttentionBranch:
                 t.requires_grad = True
             keep = {}
             out = attend_one(*leaves, keep)
-            ad.backward(ad.tensor_sum(ad.mul(out, Tensor.stack(np.cos(arrays[0])))))
+            ad.backward(dot(out, Tensor.stack(np.cos(arrays[0]))))
             return [out.data, keep["corr"].data] + [t.grad for t in leaves]
 
         whole = run()
-        monkeypatch.setattr(fu, "_BLOCK_BYTES", windows_per_block * 8 * 5 * 5)
+        monkeypatch.setattr(parallel, "BLOCK_BYTES", windows_per_block * 8 * 5 * 5)
         for got, want in zip(run(), whole):
             np.testing.assert_array_equal(got, want)
 
@@ -214,11 +217,11 @@ class TestAttentionBranch:
                                                          workers):
         # 3 modalities of 3 one-window blocks on `workers` threads against
         # one thread, recorded and in no_grad
-        monkeypatch.setattr(fu, "_BLOCK_BYTES", 8 * 5 * 5)
+        monkeypatch.setattr(parallel, "BLOCK_BYTES", 8 * 5 * 5)
         arrays = step_batch(np.random.default_rng(10), 3)
-        monkeypatch.setattr(fu, "_WORKERS", 1)
+        monkeypatch.setattr(parallel, "WORKERS", 1)
         serial = run_step(arrays)
-        monkeypatch.setattr(fu, "_WORKERS", workers)
+        monkeypatch.setattr(parallel, "WORKERS", workers)
         interleaved.clear()
         for got, want in zip(run_step(arrays), serial, strict=True):
             np.testing.assert_array_equal(got, want)
@@ -236,11 +239,11 @@ class TestAttentionBranch:
     def test_two_callers_at_once_get_the_serial_bits(self, monkeypatch, interleaved):
         # two threads run the step's forward and backward on the shared
         # pool at the same time
-        monkeypatch.setattr(fu, "_BLOCK_BYTES", 8 * 5 * 5)
+        monkeypatch.setattr(parallel, "BLOCK_BYTES", 8 * 5 * 5)
         batches = [step_batch(np.random.default_rng(seed), 3) for seed in (11, 12)]
-        monkeypatch.setattr(fu, "_WORKERS", 1)
+        monkeypatch.setattr(parallel, "WORKERS", 1)
         serial = [run_step(arrays) for arrays in batches]
-        monkeypatch.setattr(fu, "_WORKERS", 2)
+        monkeypatch.setattr(parallel, "WORKERS", 2)
         results = [None, None]
 
         def caller(i):
@@ -262,8 +265,8 @@ class TestAttentionBranch:
         # one window per block: the backward keeps one K x K block of C for
         # the step's 3 modalities of 3 windows (K=5 is no other dimension
         # here), not one per window, modality or thread
-        monkeypatch.setattr(fu, "_BLOCK_BYTES", 8 * 5 * 5)
-        monkeypatch.setattr(fu, "_WORKERS", workers)
+        monkeypatch.setattr(parallel, "BLOCK_BYTES", 8 * 5 * 5)
+        monkeypatch.setattr(parallel, "WORKERS", workers)
         y, joint, w_j, w_c, w_h = step_batch(np.random.default_rng(8), 3)
         out = fu.attention_step(Tensor.stack(y), Tensor.stack(joint),
                                 *([Tensor(a, requires_grad=True) for a in group]
@@ -308,7 +311,7 @@ class TestAttentionBranch:
                  if isinstance(cell.cell_contents, np.ndarray)
                  and cell.cell_contents.shape[1:] == (5, 5)]
         assert saved
-        loss = ad.tensor_sum(ad.mul(out, Tensor.stack(np.cos(arrays[0]))))
+        loss = dot(out, Tensor.stack(np.cos(arrays[0])))
         ad.backward(loss)
         assert all(ref() is None for ref in saved)
         assert out._backward_fn is None and out._parents == ()
@@ -336,7 +339,7 @@ class TestAttentionBranch:
         probe = Tensor.stack(rng.normal(size=(2, 3, 5))) if batch else \
             Tensor(rng.normal(size=(3, 5)))
         report = ad.grad_check(
-            lambda: ad.tensor_sum(ad.mul(attend_one(x, joint, w_j, w_c, w_h), probe)),
+            lambda: dot(attend_one(x, joint, w_j, w_c, w_h), probe),
             {"x": x, "joint": joint, "w_j": w_j, "w_c": w_c, "w_h": w_h},
             h=1e-5, tol=1e-5)
         assert report.passed, report.errors
@@ -350,7 +353,7 @@ class TestAttentionStep:
         # and map, its weight gradients and its rows of dL/dY are those of a
         # step over that modality alone; dL/dJ is the three steps' sum, in
         # modality order
-        monkeypatch.setattr(fu, "_BLOCK_BYTES", windows_per_block * 8 * 5 * 5)
+        monkeypatch.setattr(parallel, "BLOCK_BYTES", windows_per_block * 8 * 5 * 5)
         arrays = step_batch(np.random.default_rng(13), 3)
         whole = run_step(arrays)
         rows = np.split(np.arange(9), np.cumsum(WIDTHS)[:-1])
@@ -382,7 +385,7 @@ class TestAttentionStep:
     def test_small_items_run_on_this_thread(self, monkeypatch, interleaved):
         # at the default block size a K=5 item holds far less than half a
         # block of C, which costs more to hand to the pool than it gains
-        monkeypatch.setattr(fu, "_WORKERS", 2)
+        monkeypatch.setattr(parallel, "WORKERS", 2)
         run_step(step_batch(np.random.default_rng(16), 3))
         assert [len(b) for _, b in interleaved] == [1] * 5
         assert all(threads == {threading.current_thread()} for threads, _ in interleaved)
@@ -399,11 +402,11 @@ class TestAttentionStep:
 
 @pytest.fixture
 def interleaved(monkeypatch):
-    """Make every thread of `fu._for_each` sleep before each item, so that
-    the pool's threads take items even at this test's tiny K; list, per
+    """Make every thread of `parallel.for_each` sleep before each item, so
+    that the pool's threads take items even at this test's tiny K; list, per
     call, the threads that ran items and the buffers they were given."""
     calls = []
-    for_each = fu._for_each
+    for_each = parallel.for_each
 
     def sleepy(fn, items, buffers):
         threads = set()
@@ -416,7 +419,7 @@ def interleaved(monkeypatch):
         calls.append((threads, buffers))
         return for_each(slow, items, buffers)
 
-    monkeypatch.setattr(fu, "_for_each", sleepy)
+    monkeypatch.setattr(parallel, "for_each", sleepy)
     return calls
 
 
@@ -442,7 +445,7 @@ def run_step(arrays):
         t.requires_grad = True
     keep = []
     out = fu.attention_step(y, joint, w_j, w_c, w_h, keep)
-    ad.backward(ad.tensor_sum(ad.mul(out, Tensor.stack(np.cos(arrays[0])))))
+    ad.backward(dot(out, Tensor.stack(np.cos(arrays[0]))))
     with ad.no_grad():
         plain = fu.attention_step(y, joint, w_j, w_c, w_h)
     return ([out.data] + [kept[name].data for name in ("corr", "map") for kept in keep]
@@ -464,7 +467,33 @@ class TestBranchThreads:
         (8, {"OMP_NUM_THREADS": "4,2"}, 1),
     ])
     def test_worker_count(self, cpus, env, workers):
-        assert fu._worker_count(cpus, env) == workers
+        assert parallel.worker_count(cpus, env) == workers
+
+    # the size rule's crossovers, as the README gives them: an item reaches
+    # the pool once it holds half a block of C (512 KB in f64)
+    @pytest.mark.parametrize("k, threads", [(255, 1), (256, 2)])
+    def test_a_one_window_item_reaches_the_pool_at_K_256(self, monkeypatch, k, threads):
+        monkeypatch.setattr(parallel, "WORKERS", 2)
+        assert parallel.threads_for(np.empty((k, k)).nbytes, 3) == threads
+
+    @pytest.mark.parametrize("n, threads", [(15, 1), (16, 2)])
+    def test_a_K64_batch_reaches_the_pool_at_16_windows(self, monkeypatch, n, threads):
+        # one block holds the whole batch: one item of n windows' C per modality
+        monkeypatch.setattr(parallel, "WORKERS", 2)
+        threads_for, asked = parallel.threads_for, []
+
+        def spy(item_bytes, n_items):
+            asked.append(threads_for(item_bytes, n_items))
+            return asked[-1]
+
+        monkeypatch.setattr(parallel, "threads_for", spy)
+        rng = np.random.default_rng(18)
+        with ad.no_grad():
+            fu.attention_step(Tensor.stack(rng.normal(size=(n, 3, 64))),
+                              Tensor.stack(rng.normal(size=(n, 3, 64))),
+                              *([Tensor(rng.normal(size=shape)) for _ in range(3)]
+                                for shape in ((1, 3), (64, 64), (64, 64))))
+        assert asked == [threads]
 
     @pytest.mark.parametrize("failing", [0, 5])
     def test_a_failing_item_raises_after_every_thread_finished(self, failing):
@@ -479,7 +508,7 @@ class TestBranchThreads:
             finished.append(i)
 
         with pytest.raises(ValueError, match=f"item {failing}"):
-            fu._for_each(fn, list(range(6)), [(), (), ()])
+            parallel.for_each(fn, list(range(6)), [(), (), ()])
         assert sorted(finished) == [i for i in range(6) if i != failing]
 
     def test_a_slow_thread_takes_fewer_items(self):
@@ -489,13 +518,13 @@ class TestBranchThreads:
         def fn(i):
             time.sleep(0.01 if threading.current_thread() is me else 0.5)
 
-        ran = fu._for_each(fn, list(range(10)), [(), ()])
+        ran = parallel.for_each(fn, list(range(10)), [(), ()])
         assert ran[0] == 0 and len(ran) == 9
 
     def test_one_thread_runs_every_item_in_order(self):
         seen = []
-        ran = fu._for_each(lambda i: seen.append((i, threading.current_thread())),
-                           [0, 1, 2], [()])
+        ran = parallel.for_each(lambda i: seen.append((i, threading.current_thread())),
+                                [0, 1, 2], [()])
         assert ran == [0, 1, 2]
         assert seen == [(i, threading.current_thread()) for i in range(3)]
 
@@ -507,34 +536,35 @@ class TestBranchThreads:
             used.setdefault(buf, set()).add(threading.current_thread().name)
             time.sleep(0.01)
 
-        fu._for_each(fn, list(range(8)), [("a",), ("b",), ("c",)])
+        parallel.for_each(fn, list(range(8)), [("a",), ("b",), ("c",)])
         assert all(len(names) == 1 for names in used.values())
         assert len({name for names in used.values() for name in names}) == len(used)
 
     def test_a_nested_call_runs_inline_and_returns(self):
-        # a _for_each inside an item, on this thread or the pool's, runs every
+        # a for_each inside an item, on this thread or the pool's, runs every
         # item on the item's thread; run in a child with a timeout, since a
         # pool thread that waited on its own one-thread pool would hang
         code = textwrap.dedent("""
             import threading, time
-            from rjcma import fusion as fu
+            from rjcma import parallel
 
-            fu._WORKERS, inner = 2, []
+            parallel.WORKERS, inner = 2, []
 
             def outer(i):
                 me = threading.current_thread()
-                assert fu._threads(fu._BLOCK_BYTES, 4) == 1
-                ran = fu._for_each(lambda j: inner.append((i, threading.current_thread() is me)),
-                                   [0, 1, 2, 3], [(), ()])
+                assert parallel.threads_for(parallel.BLOCK_BYTES, 4) == 1
+                ran = parallel.for_each(
+                    lambda j: inner.append((i, threading.current_thread() is me)),
+                    [0, 1, 2, 3], [(), ()])
                 assert ran == [0, 1, 2, 3]
                 time.sleep(0.02)
                 return me
 
             outers = set()
-            fu._for_each(lambda i: outers.add(outer(i)), list(range(4)), [(), ()])
+            parallel.for_each(lambda i: outers.add(outer(i)), list(range(4)), [(), ()])
             assert len(outers) == 2
             assert sorted(inner) == [(i, True) for i in range(4) for _ in range(4)]
-            assert fu._threads(fu._BLOCK_BYTES, 4) == 2
+            assert parallel.threads_for(parallel.BLOCK_BYTES, 4) == 2
             print("ok")
         """)
         env = {**os.environ, "PYTHONPATH": str(Path(fu.__file__).resolve().parents[1])}
@@ -545,14 +575,14 @@ class TestBranchThreads:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_runs_on_its_own_pool(self):
         # the child inherits the parent's pool object but none of its threads
-        fu._for_each(lambda i: None, [0, 1], [(), ()])
+        parallel.for_each(lambda i: None, [0, 1], [(), ()])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)   # fork with threads
             pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                fu._for_each(lambda i: time.sleep(0.01), [0, 1, 2], [(), ()])
+                parallel.for_each(lambda i: time.sleep(0.01), [0, 1, 2], [(), ()])
                 code = 0
             finally:
                 os._exit(code)
@@ -722,20 +752,20 @@ class TestRjcmaForward:
 
     def test_each_recursion_step_waits_on_the_pool_four_times(self, monkeypatch):
         # K=300, l=3, one window: each step's forward, backward blocks and
-        # two sets of backward GEMMs make one `_for_each` call each
+        # two sets of backward GEMMs make one `parallel.for_each` call each
         calls = []
-        for_each = fu._for_each
+        for_each = parallel.for_each
 
         def counted(fn, items, buffers):
             calls.append(len(items))
             return for_each(fn, items, buffers)
 
-        monkeypatch.setattr(fu, "_for_each", counted)
+        monkeypatch.setattr(parallel, "for_each", counted)
         cfg = fu.FusionConfig(2, 2, 2, K=300, iterations=3)
         params = fu.init_params(cfg, np.random.default_rng(15))
         x = make_inputs(cfg, seed=16)
         out = fu.rjcma_forward(x["a"], x["v"], x["t"], params, cfg)
-        ad.backward(ad.tensor_sum(out.predictions))
+        ad.backward(dot(out.predictions))
         assert calls == [3, 3, 3] + [6, 3, 6] * 3
 
     def test_shape_mismatch_propagates(self):

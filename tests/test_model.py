@@ -13,6 +13,7 @@ from rjcma import autodiff as ad
 from rjcma import checkpoint as ck
 from rjcma import data as dat
 from rjcma import fusion as fu
+from rjcma import parallel
 from rjcma.fusion import FusionConfig
 from rjcma.metrics import ccc
 from rjcma.model import RjcmaModel
@@ -252,11 +253,11 @@ class TestBatchedPath:
 _PREDICT_WINDOWS_BITS = textwrap.dedent("""
     import sys, threading, time
     import numpy as np
-    from rjcma import data as dat, fusion as fu
+    from rjcma import data as dat, fusion as fu, parallel
     from rjcma.model import RjcmaModel
 
     workers, k = int(sys.argv[1]), 300
-    fu._WORKERS = workers
+    parallel.WORKERS = workers
     rng = np.random.default_rng(workers)
     model = RjcmaModel(fu.FusionConfig(4, 4, 4, K=k), "valence", seed=3)
     for name, p in model.parameters().items():
@@ -299,7 +300,7 @@ class TestPredictWindows:
 
     def test_small_K_runs_every_window_on_the_calling_thread(self, monkeypatch):
         # a K=64 window's C is below half a block: threads would cost more
-        monkeypatch.setattr(fu, "_WORKERS", 2)
+        monkeypatch.setattr(parallel, "WORKERS", 2)
         model, _ = batch_setup(k=64)
         wins, threads = [make_window(k=64, seed=i) for i in range(4)], set()
         predict = model.predict
@@ -319,7 +320,7 @@ class TestPredictWindows:
                                                                    failing):
         # window 0 is this thread's first; window 3 goes to whichever thread
         # is free
-        monkeypatch.setattr(fu, "_WORKERS", 2)
+        monkeypatch.setattr(parallel, "WORKERS", 2)
         model = RjcmaModel(FusionConfig(1, 1, 1, K=256, iterations=1), "valence", seed=0)
         finished = []
 
@@ -339,7 +340,7 @@ class TestPredictWindows:
         # 6 threads, a 1 us switch interval: a lost or doubled take of the
         # next window, or a prediction stored at another window's index,
         # shows in the calls or the order
-        monkeypatch.setattr(fu, "_WORKERS", 6)
+        monkeypatch.setattr(parallel, "WORKERS", 6)
         model = RjcmaModel(FusionConfig(1, 1, 1, K=256, iterations=1), "valence", seed=0)
         calls, result = [], []
 

@@ -5,6 +5,8 @@ from rjcma import autodiff as ad
 from rjcma import temporal as tp
 from rjcma.autodiff import Tensor
 
+from helpers import dot
+
 
 def conv_params(rng, channels_in, channels_out, kernel_size=3):
     """Taps (channels_out x channels_in each, the last one the current frame)
@@ -58,7 +60,7 @@ class TestCausalDilatedConv:
         params = {"x": x, "bias": bias}
         params.update({f"tap{j}": tap for j, tap in enumerate(taps)})
         report = ad.grad_check(
-            lambda: ad.tensor_sum(ad.mul(tp.causal_dilated_conv(x, taps, bias, 3), probe)),
+            lambda: dot(tp.causal_dilated_conv(x, taps, bias, 3), probe),
             params, h=1e-5, tol=1e-6)
         assert report.passed, report.errors
 
@@ -116,7 +118,6 @@ class TestTcnStack:
         params = tp.init_params(3, rng)
         x = Tensor(rng.normal(size=(3, 9)), requires_grad=True)
         report = ad.grad_check(
-            lambda: ad.tensor_sum(ad.mul(tp.tcn_forward(x, params, ""),
-                                         tp.tcn_forward(x, params, ""))),
+            lambda: dot(tp.tcn_forward(x, params, ""), tp.tcn_forward(x, params, "")),
             {"x": x, **params}, h=1e-5, tol=1e-4)
         assert report.passed, report.errors
