@@ -8,16 +8,17 @@ is a weight shared by every window of the batch and receives one gradient
 summed over it. Scalars are 1x1 tensors so reductions stay differentiable.
 
 Every op ends in `_make`, the one place that decides whether it records:
-its result is a node of the implicit tape only when recording is on and an
-operand requires a gradient or is itself a node. Otherwise, and always
-inside `no_grad()`, the result keeps no node and no backward closure.
+outside `no_grad()`, an op with operands is a node of the implicit tape.
+Inside `no_grad()` the result keeps no node and no backward closure.
+`backward(loss, wrt)` returns the gradients of a scalar loss with respect
+to a dict of tensors; no tensor holds a gradient.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,13 +39,12 @@ class Tensor:
     promotion; a batch of inputs is built with `Tensor.stack`. Op results
     come from `_make`. A recorded one holds references to its parents and a
     backward closure; `backward` replays those closures in reverse
-    topological order. Leaf tensors (no parents) are the only ones whose
-    `.grad` is populated.
+    topological order.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed")
+    __slots__ = ("data", "_parents", "_backward_fn", "_consumed")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim < 2:
             arr = arr.reshape(1, -1)
@@ -54,8 +54,6 @@ class Tensor:
         if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite values rejected at tensor construction")
         self.data = np.ascontiguousarray(arr)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self._parents, self._backward_fn, self._consumed = (), None, False
 
     @classmethod
@@ -84,11 +82,8 @@ class Tensor:
             raise GraphError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data[0, 0])
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-
-_RECORDING: ContextVar[bool] = ContextVar("rjcma_autodiff_recording", default=True)
+_RECORDING: ContextVar[bool] = ContextVar("rjcma_autodiff_records", default=True)
 
 
 @contextmanager
@@ -101,25 +96,18 @@ def no_grad():
         _RECORDING.reset(token)
 
 
-def _recording(*parents: Tensor) -> bool:
-    """Whether an op on `parents` must build a graph node. A node of a
-    consumed graph counts, so that `backward` reaches it and raises."""
-    return _RECORDING.get() and any(t.requires_grad or t._parents or t._consumed
-                                    for t in parents)
-
-
 def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     """An op's result, holding `data` (its own 2-D or (B, rows, cols)
     float64 array) as is: unchecked, since an op result may hold non-finite
-    values that training diagnostics inspect. When `_recording(*parents)`,
-    it is a graph node whose `backward_fn(g)` returns one gradient (or
-    None) per parent; otherwise a plain value, and `backward_fn` is dropped."""
+    values that training diagnostics inspect. With `parents`, outside
+    `no_grad()`, it is a graph node whose `backward_fn(g)` returns one
+    gradient (or None) per parent; otherwise a plain value, and
+    `backward_fn` is dropped. A node of a consumed graph is a parent like
+    any other, so that `backward` reaches it and raises."""
     out = Tensor.__new__(Tensor)
-    out.data, out.requires_grad, out.grad, out._consumed = data, False, None, False
-    if _recording(*parents):
-        out._parents, out._backward_fn = parents, backward_fn
-    else:
-        out._parents, out._backward_fn = (), None
+    out.data, out._consumed = data, False
+    records = bool(parents) and _RECORDING.get()
+    out._parents, out._backward_fn = (parents, backward_fn) if records else ((), None)
     return out
 
 
@@ -217,14 +205,15 @@ def add_col_bias(x: Tensor, b: Tensor) -> Tensor:
 # backward sweep
 
 
-def backward(loss: Tensor, leaves: Iterable[Tensor] | None = None) -> None:
-    """Reverse sweep from a scalar loss, populating `.grad` on leaf tensors.
+def backward(loss: Tensor, wrt: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Reverse sweep from a scalar loss: the gradient of `loss` with respect
+    to each tensor of `wrt`, by name. A tensor the sweep does not reach
+    gets zeros.
 
     The graph is consumed: once the sweep ends, every interior node drops
     its backward closure (and the arrays it saved) and its parent links,
     so the graph is freed even while the caller still holds `loss`. A
     later backward that reaches a consumed node raises GraphError.
-    If `leaves` is given, any leaf unreached by the sweep gets a zero grad.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -251,19 +240,17 @@ def backward(loss: Tensor, leaves: Iterable[Tensor] | None = None) -> None:
             if id(p) not in seen:
                 stack.append((p, False))
 
+    wanted = {id(t) for t in wrt.values()}
+    # by id: a node's gradient until its closure takes it, a wanted one's to the end
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
     try:
         for node in reversed(order):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node._backward_fn is None:
-                if node.requires_grad:
-                    node.grad = g if node.grad is None else node.grad + g
+            g = grads.get(id(node)) if id(node) in wanted else grads.pop(id(node), None)
+            if g is None or node._backward_fn is None:
                 continue
             parent_grads = node._backward_fn(g)
             for p, pg in zip(node._parents, parent_grads):
-                if pg is None or not (p.requires_grad or p._parents):
+                if pg is None or not (p._parents or id(p) in wanted):
                     continue
                 acc = grads.get(id(p))
                 grads[id(p)] = pg if acc is None else acc + pg
@@ -276,15 +263,8 @@ def backward(loss: Tensor, leaves: Iterable[Tensor] | None = None) -> None:
                 node._parents = ()
                 node._consumed = True
 
-    if leaves is not None:
-        for leaf in leaves:
-            if leaf.requires_grad and leaf.grad is None:
-                leaf.grad = np.zeros_like(leaf.data)
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
+    return {name: grads[id(t)] if id(t) in grads else np.zeros_like(t.data)
+            for name, t in wrt.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +306,7 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
     `f` must be a deterministic closure over the tensors in `params`,
     returning a scalar loss freshly built on each call.
     """
-    loss = f()
-    zero_grads(params.values())
-    backward(loss, leaves=params.values())
-    analytic = {name: p.grad.copy() for name, p in params.items()}
+    analytic = backward(f(), params)
 
     errors: dict[str, float] = {}
     # numeric passes do not need the graph
@@ -348,5 +325,4 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
                 numeric = (f_plus - f_minus) / (2.0 * h)
                 errs[i] = relative_error(aflat[i], numeric)
             errors[name] = float(errs.max())        # NaN if any error is NaN
-    zero_grads(params.values())
     return GradCheckReport(errors, tol)

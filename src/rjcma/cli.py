@@ -129,6 +129,8 @@ def load_config(path: str | None, overrides: list[str], args) -> dict:
     if getattr(args, "target", None):
         cfg["train"]["target"] = args.target
     if getattr(args, "iterations", None) is not None:
+        if args.iterations < 1:
+            raise ConfigError(f"--iterations={args.iterations} is not positive")
         cfg["train"]["iterations"] = args.iterations
     return cfg
 
@@ -180,16 +182,18 @@ def _synthetic_config(cfg: dict) -> dat.SyntheticConfig:
     return _build(dat.SyntheticConfig, "synthetic", cfg["synthetic"])
 
 
-def _window_spec(cfg: dict, K: int | None = None) -> dat.WindowSpec:
-    """The window section; `K` (a checkpoint's) replaces window.K. An error
-    in the section names window.K where it is used: it bounds the stride."""
+def _window_spec(cfg: dict, K: int | None = None, checkpoint=None) -> dat.WindowSpec:
+    """The window section; `K`, read from the file `checkpoint`, replaces window.K.
+    An error in the section names where K came from: it bounds the stride."""
     window = cfg["window"] if K is None else {**cfg["window"], "K": K}
     try:
         return _build(dat.WindowSpec, "window", window)
     except ConfigError as e:
-        if K is not None or "window.K" in str(e):
+        if "window.K" in str(e):
             raise
-        raise ConfigError(f"{e} (window.K={window['K']!r})") from None
+        source = (f"window.K={window['K']!r}" if K is None
+                  else f"K={K} from checkpoint {checkpoint}")
+        raise ConfigError(f"{e} ({source})") from None
 
 
 def _fusion_config(records, spec: dat.WindowSpec, iterations: int) -> FusionConfig:
@@ -272,7 +276,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set, args)
     model = RjcmaModel.load(args.checkpoint)
-    spec = _window_spec(cfg, K=model.config.K)
+    spec = _window_spec(cfg, K=model.config.K, checkpoint=args.checkpoint)
     [recs] = _load_splits(args.manifest, args.split)
     dims = dat.feature_dims(recs)
     expected = {m: model.config.dim(m) for m in dat.MODALITIES}
@@ -311,7 +315,7 @@ def run_gradcheck(g: GradcheckConfig):
     # training inits the attention weights near zero, which parks ReLU
     # pre-activations on the kink where central differences are biased;
     # audit at O(1) scale instead
-    for name, p in model.parameters().items():
+    for name, p in model.params.items():
         if "/W_c" in name or "/W_h" in name:
             p.data = rng.uniform(-0.5, 0.5, size=p.data.shape)
     win = dat.Window(
@@ -320,7 +324,7 @@ def run_gradcheck(g: GradcheckConfig):
         valence=np.clip(rng.normal(scale=0.5, size=g.K), -1, 1),
         arousal=np.clip(rng.normal(scale=0.5, size=g.K), -1, 1))
     return grad_check(lambda: model.loss_on_window(win),
-                      model.parameters(), h=g.h, tol=g.tol)
+                      model.params, h=g.h, tol=g.tol)
 
 
 def cmd_ablate(args) -> int:
@@ -329,8 +333,8 @@ def cmd_ablate(args) -> int:
         l_values = [int(x) for x in args.l_values.split(",") if x]
     except ValueError:
         raise ConfigError(f"--l-values must be integers, got {args.l_values!r}") from None
-    if not l_values:
-        raise ConfigError("--l-values must list at least one recursion depth")
+    if not l_values or min(l_values) < 1:
+        raise ConfigError(f"--l-values={args.l_values} must list one or more positive depths")
     return _sweep(args, cfg, lambda n_folds: [(l, 0, l) for l in l_values],
                   "ablation", "l", "Num. of recursions (l)")
 

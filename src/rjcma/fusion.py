@@ -65,7 +65,7 @@ def init_params(config: FusionConfig, rng: np.random.Generator) -> dict[str, Ten
                      (f"iter{i}/W_h{m}", (K, K), 1e-2 / math.sqrt(K))]
     spec += [("head/w1", (h, d), 1.0 / math.sqrt(d)), ("head/b1", (h, 1), 1.0 / math.sqrt(d)),
              ("head/w2", (1, h), 1.0 / math.sqrt(h)), ("head/b2", (1, 1), 1.0 / math.sqrt(h))]
-    return {name: Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    return {name: Tensor(rng.uniform(-bound, bound, size=shape))
             for name, shape, bound in spec}
 
 

@@ -29,29 +29,26 @@ class RjcmaModel:
         self.seed = seed
         self.normalizer = normalizer
         rng = np.random.default_rng(seed)
+        # every learnable tensor, by its checkpoint name
         self.params = init_params(config, rng)
         for m in MODALITIES:
             self.params.update({f"tcn/{m}/{name}": p for name, p
                                 in temporal.init_params(config.dim(m), rng).items()})
 
-    def parameters(self) -> dict[str, Tensor]:
-        """Every learnable tensor, by its checkpoint name."""
-        return self.params
-
     def state_arrays(self, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
         """A copy of every parameter array; with `out` (an earlier result),
         the copy is written into its arrays."""
         if out is None:
-            return {name: p.data.copy() for name, p in self.parameters().items()}
-        for name, p in self.parameters().items():
+            return {name: p.data.copy() for name, p in self.params.items()}
+        for name, p in self.params.items():
             np.copyto(out[name], p.data)
         return out
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
         """Copy `state` into the parameters' own arrays. Every name and
         shape is checked before anything is copied, so a state that does
-        not fit leaves the model untouched."""
-        params = self.parameters()
+        not fit does not change the model."""
+        params = self.params
         if set(state) != set(params):
             missing = set(params) ^ set(state)
             raise ValueError(f"state mismatch on {sorted(missing)[:5]}")

@@ -22,7 +22,7 @@ def worker_count(cpus: int, env) -> int:
     """Threads for the process's parallel work: the CPUs it may run on,
     divided by the threads OpenBLAS runs each product on. OpenBLAS takes that
     count from OPENBLAS_NUM_THREADS, else from OMP_NUM_THREADS, and else runs
-    one thread per CPU, which leaves one worker."""
+    one thread per CPU, and then one worker is left."""
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             blas = int(env.get(name, ""))

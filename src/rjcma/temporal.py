@@ -62,8 +62,8 @@ def init_params(channels: int, rng: np.random.Generator) -> dict[str, Tensor]:
     for b in range(len(DILATIONS)):
         for j in range(KERNEL_SIZE):
             tap = rng.uniform(-bound, bound, size=(channels, channels))
-            params[f"block{b}/tap{j}"] = Tensor(tap, requires_grad=True)
-        params[f"block{b}/bias"] = Tensor(np.zeros((channels, 1)), requires_grad=True)
+            params[f"block{b}/tap{j}"] = Tensor(tap)
+        params[f"block{b}/bias"] = Tensor(np.zeros((channels, 1)))
     return params
 
 

@@ -81,12 +81,13 @@ class OptimizerState:
 _ADAM_BLOCK = 1 << 14
 
 
-def adam_step(params: dict[str, Tensor], state: OptimizerState,
-              lr: float, weight_decay: float = 0.0) -> None:
-    """Bias-corrected Adam update with decoupled weight decay (applied to the
-    weights directly, not folded into the gradient). The moments and the
-    weights are updated in place, a block of rows at a time through two
-    scratch blocks, in the operation order of the out-of-place formula
+def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
+              state: OptimizerState, lr: float, weight_decay: float = 0.0) -> None:
+    """Bias-corrected Adam update of `params` by `grads` (the same names),
+    with decoupled weight decay (applied to the weights directly, not
+    folded into the gradient). The moments and the weights are updated in
+    place, a block of rows at a time through two scratch blocks, in the
+    operation order of the out-of-place formula
     p -= lr * (m / c1) / (sqrt(v / c2) + EPS), so the result is the same
     bit for bit."""
     state.step += 1
@@ -96,7 +97,7 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState,
     # a block is at least one row, so a row wider than _ADAM_BLOCK widens it
     scratch = np.empty((2, max([_ADAM_BLOCK] + [p.data.shape[-1] for p in params.values()])))
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        g = grads[name]
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
         if name not in state.m:
@@ -202,7 +203,7 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
         raise InsufficientDataError(f"the validation partition has no valid {target} frame")
 
     rng = np.random.default_rng(cfg.seed)
-    params = model.parameters()
+    params = model.params
     opt = OptimizerState()
     sched = Scheduler(cfg)
     history: list[EpochStats] = []
@@ -222,9 +223,13 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch} batch {bi} "
                     f"(lr={sched.batch_lr(epoch, bi, n_batches):.3g})")
-            ad.zero_grads(params.values())
-            ad.backward(loss, leaves=params.values())
-            adam_step(params, opt, sched.batch_lr(epoch, bi, n_batches),
+            # release the last step's gradients right before this sweep:
+            # released right after their Adam step they measured more minor
+            # faults per step (glibc trims the freed heap top and the next
+            # step faults it back in); held through the sweep, a higher peak RSS
+            grads = None
+            grads = ad.backward(loss, params)
+            adam_step(params, grads, opt, sched.batch_lr(epoch, bi, n_batches),
                       cfg.weight_decay)
             epoch_losses.append(value)
 

@@ -396,6 +396,8 @@ class TestConfigValues:
          "n_folds=2 must be an integer in [2, 1 sequences]: "
          "synthetic.n_sequences=1 is below n_folds"),
         (["cv", "--set", "window.K=1"], "window.stride=15 is outside [1, K=1] (window.K=1)"),
+        (["train", "--iterations", "0"], "--iterations=0 is not positive"),
+        (["ablate", "--l-values", "0,1"], "--l-values=0,1 must list one or more positive depths"),
     ], ids=["stride-above-K", "lr-min-above-lr-init", "K-not-int", "folds-above-sequences",
             "target-both", "train-seed-differs", "negative-seed-flag", "negative-seed-flag-gen",
             "negative-seed", "negative-latent-step-sigma", "nan-latent-step-sigma",
@@ -404,7 +406,8 @@ class TestConfigValues:
             "one-fold-ablate", "nan-lr-init",
             "negative-lr-init", "nan-lr-min", "negative-weight-decay", "zero-max-epochs",
             "negative-warmup-epochs", "negative-plateau-patience",
-            "negative-early-stop-patience", "one-sequence-cv", "K-below-stride"])
+            "negative-early-stop-patience", "one-sequence-cv", "K-below-stride",
+            "zero-iterations-flag", "zero-depth-l-values"])
     def test_exits_with_usage_error_naming_key(self, tmp_path, smoke_config, dataset,
                                                capsys, argv, message):
         rc = cli.main(argv + ["--config", smoke_config, "--out", str(tmp_path / "o")]
@@ -421,7 +424,8 @@ class TestConfigValues:
                        "--manifest", str(dataset / "manifest.json"),
                        "--out", str(tmp_path / "e")])
         assert rc == cli.EXIT_USAGE
-        assert "window.stride=200 is outside [1, K=16]" in capsys.readouterr().err
+        assert (f"window.stride=200 is outside [1, K=16] (K=16 from checkpoint {path})"
+                in capsys.readouterr().err)
 
 
 def _record(ident="s", seed=0, width=4, valence=None):

@@ -19,7 +19,7 @@ from rjcma import parallel
 from rjcma.autodiff import Tensor
 from rjcma.metrics import ccc_loss
 
-from helpers import dot
+from helpers import dot, grads_of
 
 
 def make_inputs(cfg, seed=0, mags=1.0):
@@ -73,11 +73,6 @@ class TestConfigAndParams:
                    + 2 * ((3 + 4 + 5) * d + 3 * 2 * K * K)
                    + h * d + h + h + 1)
         assert count == by_hand
-
-    def test_all_params_require_grad(self):
-        cfg = fu.FusionConfig(2, 2, 2, K=3)
-        params = fu.init_params(cfg, np.random.default_rng(0))
-        assert all(p.requires_grad for p in params.values())
 
 
 class TestJointRepresentation:
@@ -180,7 +175,7 @@ class TestAttentionBranch:
 
     def test_no_grad_matches_recorded_forward(self):
         rng = np.random.default_rng(5)
-        args = [Tensor(a, requires_grad=True) for a in random_branch_inputs(rng)]
+        args = [Tensor(a) for a in random_branch_inputs(rng)]
         recorded = attend_one(*args)
         with ad.no_grad():
             keep = {}
@@ -200,12 +195,10 @@ class TestAttentionBranch:
 
         def run():
             leaves = [Tensor.stack(a) if a.ndim == 3 else Tensor(a) for a in arrays]
-            for t in leaves:
-                t.requires_grad = True
             keep = {}
             out = attend_one(*leaves, keep)
-            ad.backward(dot(out, Tensor.stack(np.cos(arrays[0]))))
-            return [out.data, keep["corr"].data] + [t.grad for t in leaves]
+            return ([out.data, keep["corr"].data]
+                    + grads_of(dot(out, Tensor.stack(np.cos(arrays[0]))), leaves))
 
         whole = run()
         monkeypatch.setattr(parallel, "BLOCK_BYTES", windows_per_block * 8 * 5 * 5)
@@ -269,7 +262,7 @@ class TestAttentionBranch:
         monkeypatch.setattr(parallel, "WORKERS", workers)
         y, joint, w_j, w_c, w_h = step_batch(np.random.default_rng(8), 3)
         out = fu.attention_step(Tensor.stack(y), Tensor.stack(joint),
-                                *([Tensor(a, requires_grad=True) for a in group]
+                                *([Tensor(a) for a in group]
                                   for group in (w_j, w_c, w_h)))
         seen, todo, windows = set(), [out._backward_fn], 0
         while todo:                                  # closures and lists, transitively
@@ -304,15 +297,14 @@ class TestAttentionBranch:
         rng = np.random.default_rng(7)
         arrays = [rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 9, 5)),
                   rng.normal(size=(3, 9)), rng.normal(size=(5, 5)), rng.normal(size=(5, 5))]
-        leaves = [Tensor.stack(a) if a.ndim == 3 else Tensor(a, requires_grad=True)
-                  for a in arrays]
+        leaves = [Tensor.stack(a) if a.ndim == 3 else Tensor(a) for a in arrays]
         out = attend_one(*leaves)
         saved = [weakref.ref(cell.cell_contents) for cell in out._backward_fn.__closure__
                  if isinstance(cell.cell_contents, np.ndarray)
                  and cell.cell_contents.shape[1:] == (5, 5)]
         assert saved
         loss = dot(out, Tensor.stack(np.cos(arrays[0])))
-        ad.backward(loss)
+        ad.backward(loss, {})
         assert all(ref() is None for ref in saved)
         assert out._backward_fn is None and out._parents == ()
         assert loss.item() == pytest.approx(float((out.data * np.cos(arrays[0])).sum()))
@@ -330,9 +322,7 @@ class TestAttentionBranch:
 
         def leaf(*shape):
             arr = rng.normal(size=shape)
-            t = Tensor.stack(arr) if arr.ndim == 3 else Tensor(arr)
-            t.requires_grad = True
-            return t
+            return Tensor.stack(arr) if arr.ndim == 3 else Tensor(arr)
 
         x, joint = leaf(*batch, 3, 5), leaf(*batch, 9, 5)
         w_j, w_c, w_h = leaf(3, 9), leaf(5, 5), leaf(5, 5)
@@ -440,16 +430,13 @@ def run_step(arrays):
     weight for a fixed loss, and the no_grad value."""
     y, joint = Tensor.stack(arrays[0]), Tensor.stack(arrays[1])
     w_j, w_c, w_h = ([Tensor(a) for a in group] for group in arrays[2:])
-    leaves = [y, joint, *w_j, *w_c, *w_h]
-    for t in leaves:
-        t.requires_grad = True
     keep = []
     out = fu.attention_step(y, joint, w_j, w_c, w_h, keep)
-    ad.backward(dot(out, Tensor.stack(np.cos(arrays[0]))))
+    grads = grads_of(dot(out, Tensor.stack(np.cos(arrays[0]))), [y, joint, *w_j, *w_c, *w_h])
     with ad.no_grad():
         plain = fu.attention_step(y, joint, w_j, w_c, w_h)
     return ([out.data] + [kept[name].data for name in ("corr", "map") for kept in keep]
-            + [t.grad for t in leaves] + [plain.data])
+            + grads + [plain.data])
 
 
 class TestBranchThreads:
@@ -765,7 +752,7 @@ class TestRjcmaForward:
         params = fu.init_params(cfg, np.random.default_rng(15))
         x = make_inputs(cfg, seed=16)
         out = fu.rjcma_forward(x["a"], x["v"], x["t"], params, cfg)
-        ad.backward(dot(out.predictions))
+        ad.backward(dot(out.predictions), params)
         assert calls == [3, 3, 3] + [6, 3, 6] * 3
 
     def test_shape_mismatch_propagates(self):

@@ -98,7 +98,7 @@ class TestModelPersistence:
     def test_parameter_names_and_shapes_are_pinned(self):
         # the checkpoint format and perfbench's oracle read these names
         model = RjcmaModel(FusionConfig(2, 3, 4, K=5, iterations=2), "valence", seed=0)
-        assert [(n, p.data.shape) for n, p in sorted(model.parameters().items())] == [
+        assert [(n, p.data.shape) for n, p in sorted(model.params.items())] == [
             ("fc_joint/b", (9, 1)), ("fc_joint/w", (9, 9)), ("head/b1", (4, 1)),
             ("head/b2", (1, 1)), ("head/w1", (4, 9)), ("head/w2", (1, 4)),
             ("iter1/W_ca", (5, 5)), ("iter1/W_ct", (5, 5)), ("iter1/W_cv", (5, 5)),
@@ -131,10 +131,10 @@ class TestModelPersistence:
     def test_load_keeps_each_parameter_array(self):
         model = RjcmaModel(FusionConfig(3, 3, 3, K=8), "valence", seed=0)
         other = RjcmaModel(FusionConfig(3, 3, 3, K=8), "valence", seed=1)
-        arrays = {name: p.data for name, p in model.parameters().items()}
+        arrays = {name: p.data for name, p in model.params.items()}
         state = other.state_arrays()
         model.load_state_arrays(state)
-        for name, p in model.parameters().items():
+        for name, p in model.params.items():
             assert p.data is arrays[name]
             np.testing.assert_array_equal(p.data, state[name])
             assert not np.shares_memory(p.data, state[name])
@@ -143,10 +143,10 @@ class TestModelPersistence:
         model = RjcmaModel(FusionConfig(3, 3, 3, K=8), "valence", seed=0)
         snapshot = model.state_arrays()
         arrays = dict(snapshot)
-        for p in model.parameters().values():
+        for p in model.params.values():
             p.data += 1.0
         assert model.state_arrays(out=snapshot) is snapshot
-        for name, p in model.parameters().items():
+        for name, p in model.params.items():
             assert snapshot[name] is arrays[name]
             np.testing.assert_array_equal(snapshot[name], p.data)
 
@@ -164,7 +164,7 @@ class TestModelPersistence:
             state["extra"] = state.pop(last)
         with pytest.raises(ValueError, match=last):
             model.load_state_arrays(state)
-        for name, p in model.parameters().items():
+        for name, p in model.params.items():
             np.testing.assert_array_equal(p.data, before[name])
 
     def test_wrong_target_request_rejected(self):
@@ -188,17 +188,10 @@ def batch_setup(k=16, d=4, iterations=2, seed=4):
     model = RjcmaModel(FusionConfig(d, d, d, K=k, iterations=iterations),
                        "valence", seed=seed, normalizer=dat.Normalizer().fit(recs))
     rng = np.random.default_rng(seed + 1)
-    for name, p in model.parameters().items():
+    for name, p in model.params.items():
         if "/W_c" in name or "/W_h" in name:
             p.data = rng.uniform(-0.5, 0.5, size=p.data.shape)
     return model, wins
-
-
-def gradients(model, loss):
-    params = model.parameters()
-    ad.zero_grads(params.values())
-    ad.backward(loss, leaves=params.values())
-    return {name: p.grad for name, p in params.items()}
 
 
 class TestBatchedPath:
@@ -216,8 +209,8 @@ class TestBatchedPath:
         assert len(batches[-1]) < 5
         assert any(w.n_padded and not w.valence_mask.all() for w in wins)
         for batch in batches:
-            got = gradients(model, model.loss_on_batch(batch))
-            per_window = [gradients(model, model.loss_on_window(w)) for w in batch]
+            got = ad.backward(model.loss_on_batch(batch), model.params)
+            per_window = [ad.backward(model.loss_on_window(w), model.params) for w in batch]
             for name, g in got.items():
                 want = sum(pw[name] for pw in per_window) / len(batch)
                 assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), name
@@ -225,7 +218,7 @@ class TestBatchedPath:
     def test_grad_check_on_a_batch_of_three(self):
         model, wins = batch_setup(k=6, d=3, seed=2)
         report = ad.grad_check(lambda: model.loss_on_batch(wins[:3]),
-                               model.parameters(), h=1e-5, tol=1e-4)
+                               model.params, h=1e-5, tol=1e-4)
         assert report.passed, sorted(report.errors.items(), key=lambda kv: -kv[1])[:3]
 
     def test_predict_builds_no_graph_and_matches_the_recorded_forward(self, monkeypatch):
@@ -260,7 +253,7 @@ _PREDICT_WINDOWS_BITS = textwrap.dedent("""
     parallel.WORKERS = workers
     rng = np.random.default_rng(workers)
     model = RjcmaModel(fu.FusionConfig(4, 4, 4, K=k), "valence", seed=3)
-    for name, p in model.parameters().items():
+    for name, p in model.params.items():
         if "/W_c" in name or "/W_h" in name:
             p.data = rng.uniform(-1.0, 1.0, size=p.data.shape) / np.sqrt(k)
     wins = [dat.Window(sequence_id="w", offset=i,

@@ -12,9 +12,9 @@ def conv_params(rng, channels_in, channels_out, kernel_size=3):
     """Taps (channels_out x channels_in each, the last one the current frame)
     and a zero bias, drawn as `temporal.init_params` draws them."""
     bound = 1.0 / np.sqrt(channels_in * kernel_size)
-    taps = [Tensor(rng.uniform(-bound, bound, size=(channels_out, channels_in)),
-                   requires_grad=True) for _ in range(kernel_size)]
-    return taps, Tensor(np.zeros((channels_out, 1)), requires_grad=True)
+    taps = [Tensor(rng.uniform(-bound, bound, size=(channels_out, channels_in)))
+            for _ in range(kernel_size)]
+    return taps, Tensor(np.zeros((channels_out, 1)))
 
 
 def scalar_conv(x, kernel, dilation=1):
@@ -55,7 +55,7 @@ class TestCausalDilatedConv:
         rng = np.random.default_rng(8)
         taps, bias = conv_params(rng, 3, 2)
         bias.data[:] = rng.normal(size=(2, 1))
-        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 5)))
         probe = Tensor(rng.normal(size=(2, 5)))
         params = {"x": x, "bias": bias}
         params.update({f"tap{j}": tap for j, tap in enumerate(taps)})
@@ -116,7 +116,7 @@ class TestTcnStack:
     def test_two_block_gradient_check(self):
         rng = np.random.default_rng(7)
         params = tp.init_params(3, rng)
-        x = Tensor(rng.normal(size=(3, 9)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 9)))
         report = ad.grad_check(
             lambda: dot(tp.tcn_forward(x, params, ""), tp.tcn_forward(x, params, "")),
             {"x": x, **params}, h=1e-5, tol=1e-4)

@@ -1,8 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from rjcma import autodiff as ad
 from rjcma import data as dat
 from rjcma import train as tr
 from rjcma.autodiff import Tensor
@@ -22,27 +24,27 @@ def small_setup(seed=0, n_seq=6, t=60, d=4, k=24, l=1, noise=0.01):
 
 class TestAdam:
     def test_zero_gradient_zero_decay_no_change(self):
-        p = Tensor(np.ones((2, 2)), requires_grad=True)
-        p.grad = np.zeros((2, 2))
+        p = Tensor(np.ones((2, 2)))
         before = p.data.copy()
-        tr.adam_step({"p": p}, tr.OptimizerState(), lr=0.1, weight_decay=0.0)
+        tr.adam_step({"p": p}, {"p": np.zeros((2, 2))}, tr.OptimizerState(),
+                     lr=0.1, weight_decay=0.0)
         np.testing.assert_array_equal(p.data, before)
 
     def test_first_step_magnitude_is_lr(self):
         # t=1 with g=1: m_hat = 1, v_hat = 1, update = lr / (1 + eps) ~ lr
-        p = Tensor(np.zeros((3, 3)), requires_grad=True)
-        p.grad = np.ones((3, 3))
-        tr.adam_step({"p": p}, tr.OptimizerState(), lr=0.01, weight_decay=0.0)
+        p = Tensor(np.zeros((3, 3)))
+        tr.adam_step({"p": p}, {"p": np.ones((3, 3))}, tr.OptimizerState(),
+                     lr=0.01, weight_decay=0.0)
         np.testing.assert_allclose(p.data, -0.01, rtol=1e-6)
 
     def test_deterministic_trajectories(self):
         def run():
             rng = np.random.default_rng(0)
-            p = Tensor(np.ones((2, 2)), requires_grad=True)
+            p = Tensor(np.ones((2, 2)))
             state = tr.OptimizerState()
             for _ in range(10):
-                p.grad = rng.normal(size=(2, 2))
-                tr.adam_step({"p": p}, state, lr=0.05, weight_decay=1e-3)
+                tr.adam_step({"p": p}, {"p": rng.normal(size=(2, 2))}, state,
+                             lr=0.05, weight_decay=1e-3)
             return p.data
 
         assert np.array_equal(run(), run())
@@ -51,11 +53,10 @@ class TestAdam:
         # independent textbook Adam recurrence
         rng = np.random.default_rng(1)
         grads = [rng.normal(size=(2, 2)) for _ in range(8)]
-        p = Tensor(np.ones((2, 2)), requires_grad=True)
+        p = Tensor(np.ones((2, 2)))
         state = tr.OptimizerState()
         for g in grads:
-            p.grad = g.copy()
-            tr.adam_step({"p": p}, state, lr=0.02, weight_decay=0.0)
+            tr.adam_step({"p": p}, {"p": g.copy()}, state, lr=0.02, weight_decay=0.0)
 
         w = np.ones((2, 2))
         m = np.zeros((2, 2))
@@ -70,7 +71,7 @@ class TestAdam:
         # the update runs in place, with the operations of the allocating
         # form below in the same order, so every step is bit-identical
         rng = np.random.default_rng(2)
-        p = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        p = Tensor(rng.normal(size=(3, 2)))
         data = p.data
         state = tr.OptimizerState()
         lr, wd = 0.05, 1e-2
@@ -79,8 +80,7 @@ class TestAdam:
         v = np.zeros_like(w)
         for t in range(1, 13):
             g = rng.normal(size=(3, 2))
-            p.grad = g
-            tr.adam_step({"p": p}, state, lr=lr, weight_decay=wd)
+            tr.adam_step({"p": p}, {"p": g}, state, lr=lr, weight_decay=wd)
             m = 0.9 * m + (1.0 - 0.9) * g
             v = 0.999 * v + (1.0 - 0.999) * g * g
             m_hat = m / (1.0 - 0.9 ** t)
@@ -101,12 +101,10 @@ class TestAdam:
         grads = [{n: rng.normal(size=s) for n, s in shapes.items()} for _ in range(5)]
 
         def run():
-            params = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
+            params = {n: Tensor(a.copy()) for n, a in init.items()}
             state = tr.OptimizerState()
             for g in grads:
-                for n, p in params.items():
-                    p.grad = g[n]
-                tr.adam_step(params, state, lr=0.05, weight_decay=1e-2)
+                tr.adam_step(params, g, state, lr=0.05, weight_decay=1e-2)
             return {n: p.data for n, p in params.items()}
 
         whole = run()
@@ -115,10 +113,9 @@ class TestAdam:
             assert np.array_equal(got, whole[n])
 
     def test_shape_mismatch(self):
-        p = Tensor(np.ones((2, 2)), requires_grad=True)
-        p.grad = np.ones((2, 3))
+        p = Tensor(np.ones((2, 2)))
         with pytest.raises(ValueError):
-            tr.adam_step({"p": p}, tr.OptimizerState(), lr=0.1)
+            tr.adam_step({"p": p}, {"p": np.ones((2, 3))}, tr.OptimizerState(), lr=0.1)
 
 
 class TestScheduler:
@@ -235,6 +232,34 @@ class TestFit:
         cfg = tr.TrainConfig(max_epochs=2, seed=0)
         with pytest.raises(tr.NumericalError, match="epoch 0 batch 0"):
             tr.fit(model, wins[:4], wins[4:6], cfg)
+
+    def test_a_step_releases_its_gradients_right_before_the_next_sweep(self, monkeypatch):
+        # held through the next step's forward, dead when its backward
+        # starts: released earlier, glibc trims the freed heap top and the
+        # step faults it back in; released later, the sweep's peak RSS holds
+        # two sets of gradients
+        recs, spec, fusion = small_setup()
+        wins = [w for r in recs for w in dat.window(r, spec)]
+        model = RjcmaModel(fusion, target="valence", seed=0)
+        last, at_forward, at_sweep = [], [], []
+        loss_on_batch, backward = model.loss_on_batch, ad.backward
+
+        def forward(windows):
+            at_forward.append([ref() is not None for ref in last])
+            return loss_on_batch(windows)
+
+        def sweep(loss, wrt):
+            at_sweep.append([ref() is not None for ref in last])
+            grads = backward(loss, wrt)
+            last[:] = [weakref.ref(g) for g in grads.values()]
+            return grads
+
+        monkeypatch.setattr(model, "loss_on_batch", forward)
+        monkeypatch.setattr(ad, "backward", sweep)
+        tr.fit(model, wins[:8], wins[8:], tr.TrainConfig(batch_size=4, max_epochs=1))
+        assert len(at_sweep) == 2 and at_sweep[0] == []
+        assert at_forward[1] == [True] * len(model.params)
+        assert at_sweep[1] == [False] * len(model.params)
 
     def test_empty_partition_rejected(self):
         recs, spec, fusion = small_setup()
