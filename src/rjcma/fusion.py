@@ -96,9 +96,10 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
     pick the threads; each thread reuses one buffer of C, and an item gets
     the same numpy calls on any thread. A recorded node keeps this thread's
     buffer only: the backward starts with the item whose C is still in it
-    and recomputes the others'. A `keep` list receives a dict per modality
-    of copies of its C ("corr") and attention map H ("map"), and its
-    attended rows ("attended"), a view of the returned stack.
+    and recomputes the others'. It keeps no W_j[m] J either: the backward
+    recomputes it with the forward's calls. A `keep` list receives a dict
+    per modality of copies of its C ("corr") and attention map H ("map"),
+    and its attended rows ("attended"), a view of the returned stack.
     """
     k = y.cols
     if (sum(w.rows for w in w_j) != y.rows or not len(w_j) == len(w_c) == len(w_h)
@@ -117,16 +118,23 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
     step = max(1, min(n, parallel.BLOCK_BYTES // window_c))
     items = [(m, slice(i, min(i + step, n))) for m in range(len(xs)) for i in range(0, n, step)]
     threads = parallel.threads_for(window_c * step, len(items))
-    a = [np.matmul(w.data, jd) for w in w_j]
-    for am in a:
-        am *= s
+
+    def joint_rows():
+        # W_j[m] J / sqrt(d) per modality: GEMMs cheap enough that the
+        # backward repeats these calls rather than keep their results
+        a = [np.matmul(w.data, jd) for w in w_j]
+        for am in a:
+            am *= s
+        return a
+
+    a = joint_rows()
     p = [ad._mm(x, w.data) for x, w in zip(xs, w_c)]
     # this thread allocates every buffer; the pool's threads run numpy only
     c = np.empty((step, k, k))
     corr = None if keep is None else np.empty((len(xs), n, k, k))
     h = [np.empty_like(x) for x in xs]
 
-    def correlate(item, buf):
+    def correlate(a, item, buf):
         m, blk = item
         cb = buf[:blk.stop - blk.start]
         np.matmul(xs[m][blk].swapaxes(-1, -2), a[m][blk], out=cb)
@@ -135,7 +143,7 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
 
     def attend(item, buf):
         m, blk = item
-        cb = correlate(item, buf)
+        cb = correlate(a, item, buf)
         if corr is not None:
             corr[m][blk] = cb
         hb = h[m][blk]
@@ -173,11 +181,12 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
                              (gm.reshape(rows), w.data.T, gqm.reshape(rows)))])
         for gqm, hm in zip(gq, h):
             gqm *= hm > 0.0                          # relu, subgradient 0 at 0
+        a = joint_rows()
 
         def backprop(item, buf, gc_buf):
             # only this thread runs `held`, first, with `c` as `buf`
             m, blk = item
-            cb = buf[:blk.stop - blk.start] if item is held else correlate(item, buf)
+            cb = buf[:blk.stop - blk.start] if item is held else correlate(a, item, buf)
             gc = gc_buf[:blk.stop - blk.start]
             np.matmul(gq[m][blk], cb.swapaxes(-1, -2), out=gp[m][blk])
             np.matmul(p[m][blk].swapaxes(-1, -2), gq[m][blk], out=gc)   # d loss / d C

@@ -24,24 +24,26 @@ def causal_dilated_conv(x: Tensor, taps: list[Tensor], bias: Tensor,
     if x.rows != taps[0].cols:
         raise ad.DimensionError(
             f"conv expects {taps[0].cols} channels, got {x.rows}")
-    frames = x.cols
+    frames, xd = x.cols, x.data
     weights = [tap.data for tap in taps]
-    # x delayed by each tap's lag, zero-filled on the left: n[j] frames of x
-    # survive the delay of tap j
+    # n[j] frames of x survive the delay of tap j
     n = [max(frames - (len(taps) - 1 - j) * dilation, 0) for j in range(len(taps))]
-    delayed = []
-    for nj in n:
-        xs = np.zeros_like(x.data)
-        xs[..., frames - nj:] = x.data[..., :nj]
-        delayed.append(xs)
-    out = sum(np.matmul(w, xs) for w, xs in zip(weights, delayed)) + bias.data
+
+    def delayed(nj):
+        # x delayed by a tap's lag, zero-filled on the left; the node saves
+        # x only, and the backward rebuilds each copy with these same calls
+        xs = np.zeros_like(xd)
+        xs[..., frames - nj:] = xd[..., :nj]
+        return xs
+
+    out = sum(np.matmul(w, delayed(nj)) for w, nj in zip(weights, n)) + bias.data
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros_like(xd)
         for w, nj in zip(weights, n):
             gx[..., :nj] += np.matmul(w.T, g[..., frames - nj:])
-        tap_grads = (ad._unbatch(np.matmul(g, xs.swapaxes(-1, -2)), w)
-                     for w, xs in zip(weights, delayed))
+        tap_grads = (ad._unbatch(np.matmul(g, delayed(nj).swapaxes(-1, -2)), w)
+                     for w, nj in zip(weights, n))
         bias_grad = ad._unbatch(g.sum(axis=-1, keepdims=True), bias.data)
         return (gx, *tap_grads, bias_grad)
 

@@ -1,3 +1,4 @@
+import weakref
 from contextlib import nullcontext
 
 import numpy as np
@@ -188,6 +189,50 @@ class TestBackwardContract:
         first = ad.backward(dot(hidden), {"x": x})["x"]
         assert hidden._parents == () and hidden._backward_fn is None
         np.testing.assert_array_equal(ad.backward(dot(ad.tanh(x)), {"x": x})["x"], first)
+
+    def test_the_sweep_frees_each_node_once_its_closure_ran(self):
+        # a chain of three nodes, each saving an array only its closure
+        # holds; while the closure nearest the input runs, the arrays saved
+        # by the two nodes nearer the loss are already gone
+        saved, alive = [], []
+
+        def node(a, probe=None):
+            s = np.cos(a.data)
+
+            def bwd(g):
+                if probe is not None:
+                    probe()
+                return (g * s,)
+
+            saved.append(weakref.ref(s))
+            return ad._make(np.sin(a.data), (a,), bwd)
+
+        x = Tensor([[0.5, -1.0]])
+        probe = lambda: alive.extend(ref() is not None for ref in saved)
+        loss = dot(node(node(node(x, probe))))
+        grads = ad.backward(loss, {"x": x})
+        assert alive == [True, False, False]
+        np.testing.assert_allclose(grads["x"], np.cos(np.sin(np.sin(x.data)))
+                                   * np.cos(np.sin(x.data)) * np.cos(x.data), rtol=1e-15)
+
+    def test_a_closure_that_raises_leaves_every_node_consumed(self):
+        x = Tensor([[0.5, -1.0]])
+        first = ad.tanh(x)
+
+        def fail(g):
+            raise FloatingPointError("closure failed")
+
+        failing = ad._make(first.data * 2.0, (first,), fail)
+        last = ad.tanh(failing)
+        with pytest.raises(FloatingPointError):
+            ad.backward(dot(last), {"x": x})
+        # the node already run, the one that raised and the one not reached
+        for node in (last, failing, first):
+            assert node._backward_fn is None and node._parents == ()
+            with pytest.raises(ad.GraphError, match="consumed"):
+                ad.backward(dot(node), {"x": x})
+        np.testing.assert_array_equal(
+            ad.backward(dot(ad.tanh(x)), {"x": x})["x"], 1.0 - np.tanh(x.data) ** 2)
 
     def test_loss_on_a_consumed_intermediate_errors(self):
         # a second loss built on a node of a consumed graph cannot reach

@@ -19,7 +19,7 @@ from rjcma import parallel
 from rjcma.autodiff import Tensor
 from rjcma.metrics import ccc_loss
 
-from helpers import dot, grads_of
+from helpers import closure_arrays, dot, grads_of
 
 
 def make_inputs(cfg, seed=0, mags=1.0):
@@ -264,19 +264,12 @@ class TestAttentionBranch:
         out = fu.attention_step(Tensor.stack(y), Tensor.stack(joint),
                                 *([Tensor(a) for a in group]
                                   for group in (w_j, w_c, w_h)))
-        seen, todo, windows = set(), [out._backward_fn], 0
-        while todo:                                  # closures and lists, transitively
-            obj = todo.pop()
-            if id(obj) in seen:
-                continue
-            seen.add(id(obj))
-            if getattr(obj, "__closure__", None):
-                todo += [cell.cell_contents for cell in obj.__closure__]
-            elif isinstance(obj, (list, tuple)):
-                todo += obj
-            elif isinstance(obj, np.ndarray) and obj.shape[-2:] == (5, 5):
-                windows += obj.size // 25
-        assert windows <= 1
+        saved = closure_arrays(out._backward_fn)
+        assert sum(a.size // 25 for a in saved if a.shape[-2:] == (5, 5)) <= 1
+        # nor W_j[m] J / sqrt(d), which the backward recomputes
+        for w in w_j:
+            rows = np.matmul(w, joint) / 3.0
+            assert not any(a.shape == rows.shape and np.allclose(a, rows) for a in saved)
 
     def test_nan_attention_input_gives_a_positive_zero_map(self):
         # a NaN in W_c (as an op's result could carry) makes every entry of

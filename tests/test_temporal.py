@@ -5,7 +5,7 @@ from rjcma import autodiff as ad
 from rjcma import temporal as tp
 from rjcma.autodiff import Tensor
 
-from helpers import dot
+from helpers import closure_arrays, dot
 
 
 def conv_params(rng, channels_in, channels_out, kernel_size=3):
@@ -63,6 +63,17 @@ class TestCausalDilatedConv:
             lambda: dot(tp.causal_dilated_conv(x, taps, bias, 3), probe),
             params, h=1e-5, tol=1e-6)
         assert report.passed, report.errors
+
+    def test_recorded_node_saves_x_only(self):
+        # the zero-filled delayed copies of x are rebuilt by the backward,
+        # not kept: no array of x's shape but x's own
+        rng = np.random.default_rng(2)
+        taps, bias = conv_params(rng, 3, 3)
+        x = Tensor.stack([rng.normal(size=(3, 7)) for _ in range(2)])
+        out = tp.causal_dilated_conv(x, taps, bias, 2)
+        saved = closure_arrays(out._backward_fn)
+        assert any(a is x.data for a in saved)
+        assert [a for a in saved if a.shape == x.shape and a is not x.data] == []
 
     def test_channel_mismatch(self):
         taps, bias = conv_params(np.random.default_rng(0), 3, 2)

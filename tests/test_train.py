@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from rjcma import autodiff as ad
 from rjcma import data as dat
+from rjcma import parallel
 from rjcma import train as tr
 from rjcma.autodiff import Tensor
 from rjcma.fusion import FusionConfig
@@ -260,6 +262,37 @@ class TestFit:
         assert len(at_sweep) == 2 and at_sweep[0] == []
         assert at_forward[1] == [True] * len(model.params)
         assert at_sweep[1] == [False] * len(model.params)
+
+    def test_a_paper_geometry_step_stays_under_its_memory_bound(self, monkeypatch):
+        # one steady step at K=300, 16+16+16 features, l=3 and 12 windows
+        # on one worker, as `fit` runs it (the last gradients released right
+        # before the sweep): its tracemalloc peak above the step's start read
+        # 52 MB with the sweep freeing each node once its closure ran and no
+        # delayed conv copies or W_j J kept; freeing the graph at the end of
+        # the sweep and keeping both, 77 MB. The bound leaves 8 MB of headroom
+        monkeypatch.setattr(parallel, "WORKERS", 1)
+        k, rng = 300, np.random.default_rng(0)
+        wins = [dat.Window("s", i, {m: rng.normal(size=(16, k)) for m in "avt"},
+                           *rng.uniform(-1.0, 1.0, size=(2, k))) for i in range(12)]
+        model = RjcmaModel(FusionConfig(16, 16, 16, K=k, iterations=3), "valence", seed=0)
+        opt, grads = tr.OptimizerState(), None
+
+        def step():
+            nonlocal grads
+            loss = model.loss_on_batch(wins)
+            grads = None
+            grads = ad.backward(loss, model.params)
+            tr.adam_step(model.params, grads, opt, lr=1e-3)
+
+        step()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6, f"step peak {peak / 1e6:.1f} MB"
 
     def test_empty_partition_rejected(self):
         recs, spec, fusion = small_setup()
