@@ -314,10 +314,6 @@ class GradCheckReport:
         return out
 
 
-def relative_error(a: float, n: float) -> float:
-    return abs(a - n) / max(abs(a), abs(n), 1e-12)
-
-
 def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
                h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Check analytic gradients of `f` against central finite differences.
@@ -342,6 +338,6 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
                 f_minus = f().item()
                 flat[i] = orig
                 numeric = (f_plus - f_minus) / (2.0 * h)
-                errs[i] = relative_error(aflat[i], numeric)
+                errs[i] = abs(aflat[i] - numeric) / max(abs(aflat[i]), abs(numeric), 1e-12)
             errors[name] = float(errs.max())        # NaN if any error is NaN
     return GradCheckReport(errors, tol)

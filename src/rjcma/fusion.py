@@ -92,14 +92,14 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
     one GEMM over the batch's stacked rows. The K x K work runs per
     (modality, block of windows whose C fits in `parallel.BLOCK_BYTES`)
     item, while the block's C is in cache, all items on one
-    `parallel.for_each`, whose worker count, size rule and nesting rule
-    pick the threads; each thread reuses one buffer of C, and an item gets
-    the same numpy calls on any thread. A recorded node keeps this thread's
-    buffer only: the backward starts with the item whose C is still in it
-    and recomputes the others'. It keeps no W_j[m] J either: the backward
-    recomputes it with the forward's calls. A `keep` list receives a dict
-    per modality of copies of its C ("corr") and attention map H ("map"),
-    and its attended rows ("attended"), a view of the returned stack.
+    `parallel.for_each`, which picks the threads and gives each pool thread
+    its own copy of this thread's buffer of C; an item gets the same numpy
+    calls on any thread. A recorded node keeps this thread's buffer only:
+    the backward starts with the item whose C is still in it and recomputes
+    the others'. It keeps no W_j[m] J either: the backward recomputes it
+    with the forward's calls. A `keep` list receives a dict per modality of
+    copies of its C ("corr") and attention map H ("map"), and its attended
+    rows ("attended"), a view of the returned stack.
     """
     k = y.cols
     if (sum(w.rows for w in w_j) != y.rows or not len(w_j) == len(w_c) == len(w_h)
@@ -117,7 +117,7 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
     window_c = k * k * yd.itemsize                 # bytes of one window's C
     step = max(1, min(n, parallel.BLOCK_BYTES // window_c))
     items = [(m, slice(i, min(i + step, n))) for m in range(len(xs)) for i in range(0, n, step)]
-    threads = parallel.threads_for(window_c * step, len(items))
+    item_bytes = window_c * step
 
     def joint_rows():
         # W_j[m] J / sqrt(d) per modality: GEMMs cheap enough that the
@@ -152,8 +152,7 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
         hb += 0.0                                    # relu: NaN and -0.0 give +0.0
 
     # the last item this thread ran; its C is still in `c`
-    held = parallel.for_each(attend, items,
-                             [(c,)] + [(np.empty_like(c),) for _ in range(threads - 1)])[-1]
+    held = parallel.for_each(attend, items, item_bytes, (c,))[-1]
     out = np.empty_like(yd)
     for x, hm, w, om in zip(xs, h, w_h, np.split(out, splits, axis=1)):
         np.add(ad._mm(hm, w.data), x, out=om)
@@ -165,9 +164,9 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
 
     def at_once(products):
         # independent GEMMs (left, right, out) on the pool, each whole (a
-        # GEMM split in slabs changes its bits)
+        # GEMM split in slabs changes its bits), under the size rule of C
         parallel.for_each(lambda lro: np.matmul(lro[0], lro[1], out=lro[2]), products,
-                          [()] * min(threads, len(products)))
+                          item_bytes, ())
 
     def bwd(g):
         gs = [np.ascontiguousarray(gm) for gm in np.split(g.reshape(yd.shape), splits, axis=1)]
@@ -197,8 +196,7 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
             np.matmul(a[m][blk], gc.swapaxes(-1, -2), out=gx[m][blk])
 
         parallel.for_each(backprop, [held] + [item for item in items if item is not held],
-                          [(c, np.empty_like(c))]
-                          + [(np.empty_like(c), np.empty_like(c)) for _ in range(threads - 1)])
+                          item_bytes, (c, np.empty_like(c)))
         # dL/dP W_c^T goes to gq's buffers, which are free now
         at_once([lro for x, gpm, w, gwm, gxm in zip(xs, gp, w_c, gw_c, gq)
                  for lro in ((x.reshape(rows).T, gpm.reshape(rows), gwm),

@@ -86,19 +86,19 @@ class RjcmaModel:
 
     def predict_windows(self, windows: Sequence[Window],
                         target: str | None = None) -> list[np.ndarray]:
-        """`[self.predict(w, target) for w in windows]`, spread over up to
-        `parallel.WORKERS` threads of `parallel.for_each` where a window's
-        K x K C is large enough to gain from them (`parallel.threads_for`:
-        K >= 256 in f64). Each thread takes the next window and runs its
-        whole forward, every attention step inline (the nesting rule), so a
-        window gets the same numpy calls on any thread and the same bits."""
+        """`[self.predict(w, target) for w in windows]`, one item per window
+        on `parallel.for_each`, which spreads the windows over its threads
+        where a window's K x K C is large enough to gain from them (K >= 256
+        in f64). Each thread takes the next window and runs its whole
+        forward, every attention step inline (the nesting rule), so a window
+        gets the same numpy calls on any thread and the same bits."""
         out = [None] * len(windows)
 
         def one(i):
             out[i] = self.predict(windows[i], target)
 
-        parallel.for_each(one, list(range(len(windows))), [()] * parallel.threads_for(
-            self.config.K ** 2 * self.params["fc_joint/w"].data.itemsize, len(windows)))
+        parallel.for_each(one, list(range(len(windows))),
+                          self.config.K ** 2 * self.params["fc_joint/w"].data.itemsize, ())
         return out
 
     def loss_on_batch(self, windows: Sequence[Window]) -> Tensor:
@@ -134,7 +134,7 @@ class RjcmaModel:
     def load(cls, path) -> "RjcmaModel":
         """The model a checkpoint holds. A config key that is missing or of
         the wrong type, an invalid value (the TCN geometry included), a
-        tensor that is missing or mis-shaped for the config, or a
+        tensor that is missing, unknown or mis-shaped for the config, or a
         normalizer std that is not positive raises CheckpointError naming
         the file and the key or tensor. The config's sizes are checked
         against the file's tensors before the model draws any weight."""
@@ -171,15 +171,16 @@ class RjcmaModel:
             for key, value in model.checkpoint_config().items():
                 if config[key] != value:
                     raise ValueError(f"config key {key!r} is {config[key]!r}, not {value!r}")
-            for name, arr in normalizer.named_arrays() if normalizer else ():
+            known = dict(normalizer.named_arrays()) if normalizer else {}
+            for name, arr in known.items():
                 expected = (model.config.dim(name.split("/")[1]), 1)
                 if arr.shape != expected:
                     raise ValueError(f"shape mismatch for {name}: {arr.shape}, "
                                      f"expected {expected}")
                 if name.endswith("/std") and not np.all(arr > 0.0):
                     raise ValueError(f"{name} has a value that is not positive")
-            model.load_state_arrays(
-                {n: a for n, a in tensors.items() if n not in norm})
+            # a norm/ tensor that the normalizer does not read is a state mismatch
+            model.load_state_arrays({n: a for n, a in tensors.items() if n not in known})
         except ValueError as e:
             raise ckpt.CheckpointError(f"{path}: {e}") from None
         return model

@@ -1,7 +1,8 @@
-"""The thread policy of rjcma in one place: the thread budget (`WORKERS`),
-the size rule that sends items to the pool (`threads_for`), and the pool
-that runs them (`for_each`), with its nesting rule. Callers look these names
-up here at call time, so that setting one reaches every later call.
+"""The thread policy of rjcma in one place: the thread budget (`WORKERS`)
+and `for_each`, which decides how many threads run a caller's items (the
+size rule and the nesting rule), makes each pool thread's copy of the
+caller's scratch arrays and runs the items. Callers look these names up
+here at call time, so that setting one reaches every later call.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import cache
+
+import numpy as np
 
 # bytes of one block of K x K correlation C that a thread of
 # `fusion.attention_step` works on (and, in the backward, of its gradient):
@@ -54,32 +57,31 @@ class _Busy(threading.local):
 _busy = _Busy()
 
 
-def threads_for(item_bytes: int, n_items: int) -> int:
+def _threads(item_bytes: int, n_items: int) -> int:
     """Threads for a `for_each` over `n_items` items that each work on
-    `item_bytes` (an array's `nbytes`). Items of less than half of
-    `BLOCK_BYTES` (a one-window item of C below K=256 in f64) run on this
-    thread alone: on 2 CPUs the pool's hand-off cost more than it gained up
-    to 256 KB, and gained nothing at 384-512 KB. So do the items of a call
-    made inside an item of another `for_each`."""
+    `item_bytes`. Items of less than half of `BLOCK_BYTES` (a one-window
+    item of C below K=256 in f64) run on this thread alone: on 2 CPUs the
+    pool's hand-off cost more than it gained up to 256 KB, and gained
+    nothing at 384-512 KB. So do the items of a call made inside an item of
+    another `for_each` (the nesting rule): the other threads are busy with
+    the outer items already, and a pool thread that queued work on its own
+    one-thread pool and waited for it would wait forever."""
     if 2 * item_bytes < BLOCK_BYTES or _busy.item:
         return 1
     return max(1, min(WORKERS, n_items))
 
 
-def for_each(fn, items: list, buffers: list[tuple]) -> list:
-    """fn(item, *buffers[t]) once for every item, on one thread t per tuple
-    of buffers: t = 0 is this thread and runs items[0] first, the pool runs
-    the others. A thread takes the next item when it is free, so one that
-    other load on its CPU slows down takes fewer. Returns the items this
-    thread ran, in order. Waits for every thread before it returns or
-    raises.
-
-    A call made while this thread runs an item of another `for_each` runs
-    every item here, with buffers[0]: the other threads are busy with the
-    outer items already, and a pool thread that queued work on its own
-    one-thread pool and waited for it would wait forever."""
-    if _busy.item:
-        buffers = buffers[:1]
+def for_each(fn, items: list, item_bytes: int, scratch: tuple) -> list:
+    """fn(item, *bufs) once for every item, where each item works on
+    `item_bytes` (an array's `nbytes`). This thread runs items[0] first,
+    with the caller's own `scratch` arrays as `bufs`; up to `WORKERS` - 1
+    pool threads run the others, each with `np.empty_like` copies of
+    `scratch` that this thread makes. A thread takes the next item when it
+    is free, so one that other load on its CPU slows down takes fewer.
+    Returns the items this thread ran, in order. Waits for every thread
+    before it returns or raises."""
+    buffers = [scratch] + [tuple(map(np.empty_like, scratch))
+                           for _ in range(_threads(item_bytes, len(items)) - 1)]
     lock = threading.Lock()
     rest = iter(items[1:])
 
@@ -100,7 +102,7 @@ def for_each(fn, items: list, buffers: list[tuple]) -> list:
 
     futures = [_executor(len(buffers) - 1).submit(run, bufs) for bufs in buffers[1:]]
     try:
-        ran = run(buffers[0], items[:1])
+        ran = run(scratch, items[:1])
     finally:
         wait(futures)
     for f in futures:

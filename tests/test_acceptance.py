@@ -294,12 +294,12 @@ def test_train_run_is_the_same_for_any_worker_count(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "BLOCK_BYTES", 8 * 20 * 20)
     for_each, threads = parallel.for_each, set()
 
-    def sleepy(fn, items, buffers):
+    def sleepy(fn, items, item_bytes, scratch):
         def slow(item, *bufs):
             threads.add(threading.current_thread())
             time.sleep(0.001)
             fn(item, *bufs)
-        return for_each(slow, items, buffers)
+        return for_each(slow, items, item_bytes, scratch)
 
     monkeypatch.setattr(parallel, "for_each", sleepy)
     config = tmp_path / "config.json"

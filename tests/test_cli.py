@@ -267,8 +267,11 @@ class TestEvalBadCheckpointTensors:
          "shape mismatch for norm/a/std: (4, 5), expected (4, 1)"),
         (lambda c, t: t.update({"norm/a/std": np.zeros((4, 1))}),
          "norm/a/std has a value that is not positive"),
+        (lambda c, t: t.update({"norm/x/mean": np.zeros((4, 1))}),
+         "state mismatch on ['norm/x/mean']"),
     ], ids=["missing-tensor", "misshaped-tensor", "tcn-kernel", "tcn-dilations",
-            "norm-mean-rows", "norm-mean-one-by-one", "norm-std-cols", "norm-std-zero"])
+            "norm-mean-rows", "norm-mean-one-by-one", "norm-std-cols", "norm-std-zero",
+            "norm-unknown"])
     def test_exits_with_data_error_naming_tensor(self, tmp_path, smoke_config,
                                                   dataset, capsys, edit, message):
         norm = dat.Normalizer().fit([_record()])

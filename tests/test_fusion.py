@@ -222,10 +222,9 @@ class TestAttentionBranch:
         # and the backward's two sets of six GEMMs, on `workers` threads;
         # every thread ran items, with buffers of its own
         gemms = min(workers, 6)
-        assert [len(b) for _, b in interleaved] == [workers, gemms, workers, gemms, workers]
-        for threads, buffers in interleaved:
-            assert len(threads) == len(buffers)
-            arrs = [b for bufs in buffers for b in bufs]
+        assert [len(ran) for ran in interleaved] == [workers, gemms, workers, gemms, workers]
+        for ran in interleaved:
+            arrs = [b for bufs in ran.values() for b in bufs]
             assert not any(np.shares_memory(u, v)
                            for i, u in enumerate(arrs) for v in arrs[i + 1:])
 
@@ -370,8 +369,7 @@ class TestAttentionStep:
         # block of C, which costs more to hand to the pool than it gains
         monkeypatch.setattr(parallel, "WORKERS", 2)
         run_step(step_batch(np.random.default_rng(16), 3))
-        assert [len(b) for _, b in interleaved] == [1] * 5
-        assert all(threads == {threading.current_thread()} for threads, _ in interleaved)
+        assert [set(ran) for ran in interleaved] == [{threading.current_thread()}] * 5
 
     def test_shape_mismatch(self):
         y, joint, w_j, w_c, w_h = step_batch(np.random.default_rng(14), 2)
@@ -387,20 +385,20 @@ class TestAttentionStep:
 def interleaved(monkeypatch):
     """Make every thread of `parallel.for_each` sleep before each item, so
     that the pool's threads take items even at this test's tiny K; list, per
-    call, the threads that ran items and the buffers they were given."""
+    call, a dict from each thread that ran items to the buffers it passed."""
     calls = []
     for_each = parallel.for_each
 
-    def sleepy(fn, items, buffers):
-        threads = set()
+    def sleepy(fn, items, item_bytes, scratch):
+        ran = {}
 
         def slow(item, *bufs):
-            threads.add(threading.current_thread())
+            ran[threading.current_thread()] = bufs
             time.sleep(0.01)
             fn(item, *bufs)
 
-        calls.append((threads, buffers))
-        return for_each(slow, items, buffers)
+        calls.append(ran)
+        return for_each(slow, items, item_bytes, scratch)
 
     monkeypatch.setattr(parallel, "for_each", sleepy)
     return calls
@@ -454,19 +452,19 @@ class TestBranchThreads:
     @pytest.mark.parametrize("k, threads", [(255, 1), (256, 2)])
     def test_a_one_window_item_reaches_the_pool_at_K_256(self, monkeypatch, k, threads):
         monkeypatch.setattr(parallel, "WORKERS", 2)
-        assert parallel.threads_for(np.empty((k, k)).nbytes, 3) == threads
+        assert parallel._threads(np.empty((k, k)).nbytes, 3) == threads
 
     @pytest.mark.parametrize("n, threads", [(15, 1), (16, 2)])
     def test_a_K64_batch_reaches_the_pool_at_16_windows(self, monkeypatch, n, threads):
         # one block holds the whole batch: one item of n windows' C per modality
         monkeypatch.setattr(parallel, "WORKERS", 2)
-        threads_for, asked = parallel.threads_for, []
+        pick, asked = parallel._threads, []
 
         def spy(item_bytes, n_items):
-            asked.append(threads_for(item_bytes, n_items))
+            asked.append(pick(item_bytes, n_items))
             return asked[-1]
 
-        monkeypatch.setattr(parallel, "threads_for", spy)
+        monkeypatch.setattr(parallel, "_threads", spy)
         rng = np.random.default_rng(18)
         with ad.no_grad():
             fu.attention_step(Tensor.stack(rng.normal(size=(n, 3, 64))),
@@ -476,9 +474,10 @@ class TestBranchThreads:
         assert asked == [threads]
 
     @pytest.mark.parametrize("failing", [0, 5])
-    def test_a_failing_item_raises_after_every_thread_finished(self, failing):
+    def test_a_failing_item_raises_after_every_thread_finished(self, monkeypatch, failing):
         # item 0 is this thread's own first item; item 5 goes to whichever
         # of the three threads is free
+        monkeypatch.setattr(parallel, "WORKERS", 3)
         finished = []
 
         def fn(i):
@@ -488,37 +487,58 @@ class TestBranchThreads:
             finished.append(i)
 
         with pytest.raises(ValueError, match=f"item {failing}"):
-            parallel.for_each(fn, list(range(6)), [(), (), ()])
+            parallel.for_each(fn, list(range(6)), parallel.BLOCK_BYTES, ())
         assert sorted(finished) == [i for i in range(6) if i != failing]
 
-    def test_a_slow_thread_takes_fewer_items(self):
+    def test_a_slow_thread_takes_fewer_items(self, monkeypatch):
         # the pool's thread sleeps on its first item; this thread runs the rest
+        monkeypatch.setattr(parallel, "WORKERS", 2)
         me = threading.current_thread()
 
         def fn(i):
             time.sleep(0.01 if threading.current_thread() is me else 0.5)
 
-        ran = parallel.for_each(fn, list(range(10)), [(), ()])
+        ran = parallel.for_each(fn, list(range(10)), parallel.BLOCK_BYTES, ())
         assert ran[0] == 0 and len(ran) == 9
 
-    def test_one_thread_runs_every_item_in_order(self):
+    def test_one_thread_runs_every_item_in_order(self, monkeypatch):
+        monkeypatch.setattr(parallel, "WORKERS", 1)
         seen = []
         ran = parallel.for_each(lambda i: seen.append((i, threading.current_thread())),
-                                [0, 1, 2], [()])
+                                [0, 1, 2], parallel.BLOCK_BYTES, ())
         assert ran == [0, 1, 2]
         assert seen == [(i, threading.current_thread()) for i in range(3)]
 
-    def test_buffers_go_to_one_thread_each(self):
-        # each thread passes its own tuple of buffers with every item
-        used = {}
+    def test_buffers_go_to_one_thread_each(self, monkeypatch):
+        # this thread passes the caller's own scratch arrays with every item
+        # it runs, and each pool thread a same-shape copy of its own; under
+        # the nesting rule or the size rule no copy is made
+        monkeypatch.setattr(parallel, "WORKERS", 3)
+        scratch = (np.zeros((2, 3)), np.zeros(4, dtype=np.int32))
+        me, items = threading.current_thread(), list(range(8))
+        for item_bytes, nested, copies in [(parallel.BLOCK_BYTES, False, 2),
+                                           (parallel.BLOCK_BYTES, True, 0),
+                                           (parallel.BLOCK_BYTES // 2 - 1, False, 0)]:
+            used = {}
 
-        def fn(i, buf):
-            used.setdefault(buf, set()).add(threading.current_thread().name)
-            time.sleep(0.01)
+            def fn(i, *bufs):
+                kept = used.setdefault(threading.current_thread(), bufs)
+                assert all(b is k for b, k in zip(bufs, kept, strict=True))
+                time.sleep(0.01)
 
-        parallel.for_each(fn, list(range(8)), [("a",), ("b",), ("c",)])
-        assert all(len(names) == 1 for names in used.values())
-        assert len({name for names in used.values() for name in names}) == len(used)
+            if nested:
+                parallel.for_each(lambda _: parallel.for_each(fn, items, item_bytes, scratch),
+                                  [0], 0, ())
+            else:
+                parallel.for_each(fn, items, item_bytes, scratch)
+            assert all(b is k for b, k in zip(used.pop(me), scratch, strict=True))
+            assert len(used) == copies
+            arrs = [*scratch, *(b for bufs in used.values() for b in bufs)]
+            assert not any(np.shares_memory(u, v)
+                           for i, u in enumerate(arrs) for v in arrs[i + 1:])
+            for bufs in used.values():
+                assert [(b.shape, b.dtype) for b in bufs] == [(b.shape, b.dtype)
+                                                              for b in scratch]
 
     def test_a_nested_call_runs_inline_and_returns(self):
         # a for_each inside an item, on this thread or the pool's, runs every
@@ -532,19 +552,20 @@ class TestBranchThreads:
 
             def outer(i):
                 me = threading.current_thread()
-                assert parallel.threads_for(parallel.BLOCK_BYTES, 4) == 1
+                assert parallel._threads(parallel.BLOCK_BYTES, 4) == 1
                 ran = parallel.for_each(
                     lambda j: inner.append((i, threading.current_thread() is me)),
-                    [0, 1, 2, 3], [(), ()])
+                    [0, 1, 2, 3], parallel.BLOCK_BYTES, ())
                 assert ran == [0, 1, 2, 3]
                 time.sleep(0.02)
                 return me
 
             outers = set()
-            parallel.for_each(lambda i: outers.add(outer(i)), list(range(4)), [(), ()])
+            parallel.for_each(lambda i: outers.add(outer(i)), list(range(4)),
+                              parallel.BLOCK_BYTES, ())
             assert len(outers) == 2
             assert sorted(inner) == [(i, True) for i in range(4) for _ in range(4)]
-            assert parallel.threads_for(parallel.BLOCK_BYTES, 4) == 2
+            assert parallel._threads(parallel.BLOCK_BYTES, 4) == 2
             print("ok")
         """)
         env = {**os.environ, "PYTHONPATH": str(Path(fu.__file__).resolve().parents[1])}
@@ -553,16 +574,18 @@ class TestBranchThreads:
         assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_runs_on_its_own_pool(self):
+    def test_a_forked_child_runs_on_its_own_pool(self, monkeypatch):
         # the child inherits the parent's pool object but none of its threads
-        parallel.for_each(lambda i: None, [0, 1], [(), ()])
+        monkeypatch.setattr(parallel, "WORKERS", 2)
+        parallel.for_each(lambda i: None, [0, 1], parallel.BLOCK_BYTES, ())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)   # fork with threads
             pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                parallel.for_each(lambda i: time.sleep(0.01), [0, 1, 2], [(), ()])
+                parallel.for_each(lambda i: time.sleep(0.01), [0, 1, 2],
+                                  parallel.BLOCK_BYTES, ())
                 code = 0
             finally:
                 os._exit(code)
@@ -736,9 +759,9 @@ class TestRjcmaForward:
         calls = []
         for_each = parallel.for_each
 
-        def counted(fn, items, buffers):
+        def counted(fn, items, item_bytes, scratch):
             calls.append(len(items))
-            return for_each(fn, items, buffers)
+            return for_each(fn, items, item_bytes, scratch)
 
         monkeypatch.setattr(parallel, "for_each", counted)
         cfg = fu.FusionConfig(2, 2, 2, K=300, iterations=3)
