@@ -8,18 +8,22 @@ is a weight shared by every window of the batch and receives one gradient
 summed over it. Scalars are 1x1 tensors so reductions stay differentiable.
 
 Every op ends in `_make`, the one place that decides whether it records:
-outside `no_grad()`, an op with operands is a node of the implicit tape.
-Inside `no_grad()` the result keeps no node and no backward closure.
-`backward(loss, wrt)` returns the gradients of a scalar loss with respect
-to a dict of tensors; no tensor holds a gradient. It frees the graph as it
-sweeps: it detaches each node's backward closure and parent links before
-running the closure, so the arrays the closure saved are freed as soon as
-it returns, and a node's output outlives its closure only if the caller
-holds the node.
+outside `no_grad()`, an op with operands gets a graph node. The graph is
+made of nodes, not of values: a `Tensor` holds its array and its node, and
+a node holds its operands' nodes and its backward closure, never a
+`Tensor`. So a value's array lives while a caller or a backward closure
+that saved it holds it, not while the graph does; an op output that no
+backward reads dies as soon as its caller drops it. Inside `no_grad()` the
+result keeps no node. `backward(loss, wrt)` returns the gradients of a
+scalar loss with respect to a dict of tensors; no tensor holds a gradient.
+It frees the graph as it sweeps: it detaches each node's backward closure
+and parent links before running the closure, so the arrays the closure
+saved are freed as soon as it returns.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Sequence
@@ -35,18 +39,29 @@ class GraphError(RuntimeError):
     """Raised on autodiff contract violations (non-scalar loss, reused graph)."""
 
 
+class _Node:
+    """A vertex of the graph: the nodes of an op's operands (`parents`) and
+    the op's backward closure. It holds no array of its own; `consumed`
+    marks a node whose closure an earlier backward ran or dropped."""
+
+    __slots__ = ("parents", "backward_fn", "consumed")
+
+    def __init__(self, parents: tuple = (), backward_fn=None):
+        self.parents, self.backward_fn, self.consumed = parents, backward_fn, False
+
+
 class Tensor:
     """Dense 2-D float64 tensor, or a (B, rows, cols) stack of them,
     optionally recording onto the implicit tape.
 
     The constructor takes external input only: finite values, 2-D after
     promotion; a batch of inputs is built with `Tensor.stack`. Op results
-    come from `_make`. A recorded one holds references to its parents and a
-    backward closure; `backward` replays those closures in reverse
-    topological order.
+    come from `_make`. A recorded one holds its graph node (`_node`); a
+    plain value holds none, and an input or parameter gets a leaf node the
+    first time it is an operand of a recorded op.
     """
 
-    __slots__ = ("data", "_parents", "_backward_fn", "_consumed")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
@@ -58,7 +73,17 @@ class Tensor:
         if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite values rejected at tensor construction")
         self.data = np.ascontiguousarray(arr)
-        self._parents, self._backward_fn, self._consumed = (), None, False
+        self._node = None
+
+    @property
+    def _backward_fn(self):
+        """The backward closure of this tensor's node (None without one);
+        perfbench's tracer reads and wraps it."""
+        return None if self._node is None else self._node.backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn):
+        self._node.backward_fn = fn
 
     @classmethod
     def stack(cls, arrays: Sequence) -> "Tensor":
@@ -100,18 +125,35 @@ def no_grad():
         _RECORDING.reset(token)
 
 
+_LEAF_LOCK = threading.Lock()
+
+
+def _node_of(t: Tensor) -> _Node:
+    """`t`'s node; a tensor without one gets a leaf node, once, even when
+    two threads record ops on it at the same time."""
+    node = t._node
+    if node is None:
+        with _LEAF_LOCK:
+            if t._node is None:
+                t._node = _Node()
+            node = t._node
+    return node
+
+
 def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     """An op's result, holding `data` (its own 2-D or (B, rows, cols)
     float64 array) as is: unchecked, since an op result may hold non-finite
-    values that training diagnostics inspect. With `parents`, outside
-    `no_grad()`, it is a graph node whose `backward_fn(g)` returns one
-    gradient (or None) per parent; otherwise a plain value, and
-    `backward_fn` is dropped. A node of a consumed graph is a parent like
-    any other, so that `backward` reaches it and raises."""
+    values that training diagnostics inspect. With `parents` (the operand
+    tensors), outside `no_grad()`, it gets a node linked to the operands'
+    nodes, whose `backward_fn(g)` returns one gradient (or None) per parent;
+    otherwise it is a plain value, and `backward_fn` is dropped. The node
+    keeps no operand's array: an operand's array outlives the caller's
+    reference only if `backward_fn` saved it. A node of a consumed graph is
+    a parent like any other, so that `backward` reaches it and raises."""
     out = Tensor.__new__(Tensor)
-    out.data, out._consumed = data, False
-    records = bool(parents) and _RECORDING.get()
-    out._parents, out._backward_fn = (parents, backward_fn) if records else ((), None)
+    out.data = data
+    out._node = (_Node(tuple(map(_node_of, parents)), backward_fn)
+                 if parents and _RECORDING.get() else None)
     return out
 
 
@@ -209,10 +251,10 @@ def add_col_bias(x: Tensor, b: Tensor) -> Tensor:
 # backward sweep
 
 
-def _consume(node: Tensor) -> None:
+def _consume(node: _Node) -> None:
     """Drop an interior node's backward closure (with the arrays it saved)
     and its parent links, and mark it consumed."""
-    node._backward_fn, node._parents, node._consumed = None, (), True
+    node.backward_fn, node.parents, node.consumed = None, (), True
 
 
 def backward(loss: Tensor, wrt: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -220,23 +262,26 @@ def backward(loss: Tensor, wrt: dict[str, Tensor]) -> dict[str, np.ndarray]:
     to each tensor of `wrt`, by name. A tensor the sweep does not reach
     gets zeros.
 
-    The graph is consumed node by node: the sweep takes each interior node
-    off its list and detaches the node's backward closure and parent links
-    before running the closure, so once the closure returns, the arrays it
-    saved are freed and only the caller can keep the node's output alive.
-    The graph is thus freed as the sweep goes, even while the caller holds
-    `loss`. A closure that raises leaves every node of the graph consumed
-    too. A later backward that reaches a consumed node raises GraphError.
+    The sweep runs over nodes and keys gradients by node. The graph is
+    consumed node by node: the sweep takes each interior node off its list
+    and detaches the node's backward closure and parent links before running
+    the closure, so once the closure returns, the arrays it saved are freed.
+    A node never held its output's array: that lives only while a caller or
+    a closure holds it. The graph is thus freed as the sweep goes, even
+    while the caller holds `loss`. A closure that raises leaves every node
+    of the graph consumed too. A later backward that reaches a consumed
+    node raises GraphError.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if loss._consumed:
+    root = _node_of(loss)
+    if root.consumed:
         raise GraphError("backward already called on this graph")
 
     # iterative topological order (post-order DFS)
-    order: list[Tensor] = []
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -244,18 +289,18 @@ def backward(loss: Tensor, wrt: dict[str, Tensor]) -> dict[str, np.ndarray]:
             continue
         if id(node) in seen:
             continue
-        if node._consumed:
+        if node.consumed:
             raise GraphError("backward reaches a node of a graph that an "
                              "earlier backward consumed")
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
 
-    wanted = {id(t) for t in wrt.values()}
-    # by id: a node's gradient until its closure takes it, a wanted one's to the end
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+    wanted = {t._node for t in wrt.values() if t._node is not None}
+    # a node's gradient until its closure takes it, a wanted one's to the end
+    grads: dict[_Node, np.ndarray] = {root: np.ones((1, 1))}
     # release node by node, not at the end of the sweep: a K=300, 12-window
     # step then peaks 14 MB lower (77 -> 63 MB above its start, tracemalloc).
     # The freed graph changes which blocks glibc reuses and trims, and so
@@ -264,25 +309,25 @@ def backward(loss: Tensor, wrt: dict[str, Tensor]) -> dict[str, np.ndarray]:
     try:
         while order:
             node = order.pop()
-            fn, parents = node._backward_fn, node._parents
+            fn, parents = node.backward_fn, node.parents
             if fn is None:
                 continue
             _consume(node)
-            g = grads.get(id(node)) if id(node) in wanted else grads.pop(id(node), None)
+            g = grads.get(node) if node in wanted else grads.pop(node, None)
             if g is None:
                 continue
             for p, pg in zip(parents, fn(g)):
-                if pg is None or not (p._parents or id(p) in wanted):
+                if pg is None or not (p.parents or p in wanted):
                     continue
-                acc = grads.get(id(p))
-                grads[id(p)] = pg if acc is None else acc + pg
+                acc = grads.get(p)
+                grads[p] = pg if acc is None else acc + pg
     finally:
         # a closure raised: the nodes it did not reach are consumed too
         for node in order:
-            if node._backward_fn is not None:
+            if node.backward_fn is not None:
                 _consume(node)
 
-    return {name: grads[id(t)] if id(t) in grads else np.zeros_like(t.data)
+    return {name: grads[t._node] if t._node in grads else np.zeros_like(t.data)
             for name, t in wrt.items()}
 
 

@@ -26,18 +26,21 @@ class CheckpointError(ValueError):
 
 
 def write_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
+    """Write `tensors` (by name, in sorted order) and `config` to `path`.
+    Each tensor's bytes go to the file from its own array: a float64
+    C-contiguous array is not copied, and no whole-file buffer is built.
+    Every tensor is converted before the file is opened."""
     cfg_blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    parts = [_MAGIC, struct.pack("<I", _VERSION),
-             struct.pack("<I", len(cfg_blob)), cfg_blob,
-             struct.pack("<I", len(tensors))]
-    for name in sorted(tensors):
-        arr = np.atleast_2d(np.asarray(tensors[name], dtype="<f8"))
-        blob = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(blob)))
-        parts.append(blob)
-        parts.append(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
-        parts.append(np.ascontiguousarray(arr).tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    arrays = [(name.encode("utf-8"),
+               np.ascontiguousarray(np.atleast_2d(np.asarray(tensors[name], dtype="<f8"))))
+              for name in sorted(tensors)]
+    with open(path, "wb") as f:
+        f.write(_MAGIC + struct.pack("<II", _VERSION, len(cfg_blob)) + cfg_blob
+                + struct.pack("<I", len(arrays)))
+        for blob, arr in arrays:
+            f.write(struct.pack("<I", len(blob)) + blob
+                    + struct.pack("<QQ", arr.shape[0], arr.shape[1]))
+            f.write(arr.data)
 
 
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -125,7 +125,8 @@ class RjcmaModel:
         }
 
     def save(self, path) -> None:
-        tensors = self.state_arrays()
+        # the parameters' own arrays: the writer copies none of them
+        tensors = {name: p.data for name, p in self.params.items()}
         if self.normalizer is not None:
             tensors.update(dict(self.normalizer.named_arrays()))
         ckpt.write_checkpoint(path, self.checkpoint_config(), tensors)

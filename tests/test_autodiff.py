@@ -1,5 +1,6 @@
+import threading
 import weakref
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ class TestBackwardContract:
         x = Tensor([[0.5, -1.0]])
         hidden = ad.tanh(x)
         first = ad.backward(dot(hidden), {"x": x})["x"]
-        assert hidden._parents == () and hidden._backward_fn is None
+        assert hidden._node.parents == () and hidden._node.backward_fn is None
         np.testing.assert_array_equal(ad.backward(dot(ad.tanh(x)), {"x": x})["x"], first)
 
     def test_the_sweep_frees_each_node_once_its_closure_ran(self):
@@ -228,7 +229,7 @@ class TestBackwardContract:
             ad.backward(dot(last), {"x": x})
         # the node already run, the one that raised and the one not reached
         for node in (last, failing, first):
-            assert node._backward_fn is None and node._parents == ()
+            assert node._node.backward_fn is None and node._node.parents == ()
             with pytest.raises(ad.GraphError, match="consumed"):
                 ad.backward(dot(node), {"x": x})
         np.testing.assert_array_equal(
@@ -269,6 +270,43 @@ class TestBackwardContract:
         np.testing.assert_array_equal(grads["x"], grads["hidden"] * (1.0 - hidden.data ** 2))
 
 
+class TestConcurrentRecording:
+    def test_two_threads_recording_on_a_new_leaf_share_its_one_node(self, monkeypatch):
+        # two threads record the first op on the same tensor at once. Each
+        # new leaf node waits up to 0.2 s for the other thread to make one
+        # too, which only a leaf creation that is not atomic lets happen:
+        # then one graph would link to a leaf node that backward, looking
+        # it up through the tensor, does not find, and its gradient is zero
+        meet = threading.Barrier(2, timeout=0.2)
+
+        class MeetingLeaf(ad._Node):
+            __slots__ = ()
+
+            def __init__(self, parents=(), backward_fn=None):
+                if not parents:
+                    with suppress(threading.BrokenBarrierError):
+                        meet.wait()
+                super().__init__(parents, backward_fn)
+
+        monkeypatch.setattr(ad, "_Node", MeetingLeaf)
+        x = Tensor([[0.5, -1.0]])
+        outs = [None, None]
+
+        def record(i):
+            outs[i] = ad.tanh(x)
+
+        threads = [threading.Thread(target=record, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        monkeypatch.undo()
+        for out in outs:
+            np.testing.assert_array_equal(ad.backward(dot(out), {"x": x})["x"],
+                                          1.0 - np.tanh(x.data) ** 2)
+
+
 class TestProperties:
     def test_forward_bit_identical_across_runs(self):
         rng = np.random.default_rng(7)
@@ -298,9 +336,9 @@ class TestNoGrad:
         w = Tensor(np.ones((2, 2)))
         with ad.no_grad():
             out = ad.tanh(ad.matmul(w, w))
-        assert out._parents == () and out._backward_fn is None
+        assert out._node is None and out._backward_fn is None
         np.testing.assert_array_equal(out.data, ad.tanh(ad.matmul(w, w)).data)
-        assert ad.tanh(ad.matmul(w, w))._parents
+        assert ad.tanh(ad.matmul(w, w))._node.parents
 
 
 class TestGradCheck:

@@ -112,6 +112,40 @@ class TestJointRepresentation:
         assert not np.array_equal(after[:, 0], base[:, 0])
         np.testing.assert_array_equal(after[:, 1:], base[:, 1:])
 
+    def test_fc_and_head_products_die_in_a_live_graph_and_gradients_stay(
+            self, monkeypatch):
+        # every matmul of the forward (fc_joint/w y per step, and the head's
+        # two layers) feeds a column-bias add, whose backward saves no
+        # operand: once rjcma_forward returns, the recorded graph holds none
+        # of the products, and the gradients equal those of a run that kept them
+        cfg = fu.FusionConfig(2, 3, 2, K=4, iterations=2)
+        params = fu.init_params(cfg, np.random.default_rng(2))
+        x = make_inputs(cfg, seed=3)
+        probe = Tensor(np.random.default_rng(4).normal(size=(1, 4)))
+        matmul = ad.matmul
+
+        def run(keep):
+            held = []
+
+            def matmul_and_hold(a, b):
+                out = matmul(a, b)
+                held.append(out if keep else weakref.ref(out.data))
+                return out
+
+            monkeypatch.setattr(ad, "matmul", matmul_and_hold)
+            out = fu.rjcma_forward(x["a"], x["v"], x["t"], params, cfg)
+            monkeypatch.setattr(ad, "matmul", matmul)
+            loss = dot(out.predictions, probe)
+            del out
+            if not keep:
+                assert len(held) == cfg.iterations + 2
+                assert all(ref() is None for ref in held)
+            return ad.backward(loss, {**x, **params})
+
+        kept, dropped = run(keep=True), run(keep=False)
+        for name, g in kept.items():
+            np.testing.assert_array_equal(dropped[name], g)
+
     def test_frame_count_mismatch(self):
         # J is taken over the stack of the three streams, so rjcma_forward
         # rejects a stream whose frame count differs before stacking them
@@ -298,7 +332,7 @@ class TestAttentionBranch:
         loss = dot(out, Tensor.stack(np.cos(arrays[0])))
         ad.backward(loss, {})
         assert all(ref() is None for ref in saved)
-        assert out._backward_fn is None and out._parents == ()
+        assert out._node.backward_fn is None and out._node.parents == ()
         assert loss.item() == pytest.approx(float((out.data * np.cos(arrays[0])).sum()))
 
     def test_shape_mismatch(self):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,35 @@ class TestTcnStack:
             a = tp.tcn_forward(Tensor(x), params, "").data
             b = tp.tcn_forward(Tensor(bumped), params, "").data
             assert np.array_equal(a[:, :t + 1], b[:, :t + 1])
+
+    def test_conv_outputs_die_in_a_live_graph_and_gradients_stay(self, monkeypatch):
+        # a conv output feeds only its block's relu, whose backward saves its
+        # own output: once tcn_forward returns, the recorded graph holds no
+        # conv output, and the gradients equal those of a run that kept them
+        rng = np.random.default_rng(8)
+        params = tp.init_params(3, rng)
+        x = Tensor.stack([rng.normal(size=(3, 9)) for _ in range(2)])
+        probe = Tensor.stack(rng.normal(size=(2, 3, 9)))
+        conv = tp.causal_dilated_conv
+
+        def run(keep):
+            held = []
+
+            def conv_and_hold(*args):
+                out = conv(*args)
+                held.append(out if keep else weakref.ref(out.data))
+                return out
+
+            monkeypatch.setattr(tp, "causal_dilated_conv", conv_and_hold)
+            loss = dot(tp.tcn_forward(x, params, ""), probe)
+            monkeypatch.setattr(tp, "causal_dilated_conv", conv)
+            if not keep:
+                assert len(held) == 2 and all(ref() is None for ref in held)
+            return ad.backward(loss, {"x": x, **params})
+
+        kept, dropped = run(keep=True), run(keep=False)
+        for name, g in kept.items():
+            np.testing.assert_array_equal(dropped[name], g)
 
     def test_two_block_gradient_check(self):
         rng = np.random.default_rng(7)
