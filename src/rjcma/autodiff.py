@@ -221,12 +221,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _make(out, tuple(parts), bwd)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return _make(a.data + b.data, (a, b), lambda g: (g, g))
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
     return _make(out, (a,), lambda g: (g * (1.0 - out * out),))

@@ -141,9 +141,11 @@ def new_run_dir(base: str) -> Path:
     root.mkdir(parents=True, exist_ok=True)
     for i in range(10000):
         candidate = root / f"run-{i:04d}"
-        if not candidate.exists():
-            candidate.mkdir()
-            return candidate
+        try:
+            candidate.mkdir()       # the claim itself, so two runs never share one
+        except FileExistsError:
+            continue
+        return candidate
     raise OSError(f"no free run directory under {base}")
 
 

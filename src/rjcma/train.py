@@ -135,8 +135,8 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 
 class Scheduler:
     """Per-batch linear warm-up for the first epochs, then reduce-on-plateau
-    keyed on whether the epoch improved the validation CCC, flooring at
-    lr_min."""
+    keyed on whether the epoch improved the validation CCC: only an epoch
+    that did not improve cuts, so a patience of 0 acts as 1. Floors at lr_min."""
 
     def __init__(self, cfg: TrainConfig):
         self.cfg = cfg
@@ -152,8 +152,8 @@ class Scheduler:
     def epoch_end(self, epoch: int, improved: bool) -> float:
         if improved:
             self.since_improvement = 0
-        else:
-            self.since_improvement += 1
+            return self.lr
+        self.since_improvement += 1
         if (epoch >= self.cfg.warmup_epochs
                 and self.since_improvement >= self.cfg.plateau_patience):
             self.lr = max(self.lr * self.cfg.plateau_factor, self.cfg.lr_min)
@@ -247,7 +247,7 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
         history.append(EpochStats(epoch, float(np.mean(epoch_losses)), val_ccc, lr))
         logger.debug("epoch %d: loss %.4f val_ccc %.4f lr %.2e",
                      epoch, history[-1].train_loss, val_ccc, lr)
-        if stale >= cfg.early_stop_patience:
+        if not improved and stale >= cfg.early_stop_patience:
             break
 
     model.load_state_arrays(best_state)

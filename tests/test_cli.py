@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -614,6 +616,21 @@ class TestRunDirs:
         second = cli.new_run_dir(base)
         assert first != second
         assert marker.read_text() == "keep"
+
+    def test_a_directory_claimed_by_another_run_is_skipped(self, tmp_path, monkeypatch):
+        # another process claims run-0000 right before this one does, after
+        # any check this one made: this run takes run-0001
+        base = tmp_path / "runs"
+        mkdir = Path.mkdir
+
+        def claimed_first(self, *args, **kwargs):
+            if self.name == "run-0000" and not self.exists():
+                os.mkdir(self)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", claimed_first)
+        assert cli.new_run_dir(base) == base / "run-0001"
+        assert (base / "run-0000").is_dir()
 
 
 class _Validated(BaseException):

@@ -257,6 +257,20 @@ class TestBatchedPath:
         assert all(t._node is None and t._backward_fn is None for t in results)
         np.testing.assert_array_equal(pred, recorded.data.ravel())
 
+    def test_an_l3_training_forward_records_23_interior_nodes(self):
+        # per modality two TCN blocks (conv, ReLU and residual in one node),
+        # the stack, per recursion step the joint FC's product and bias and
+        # one attention step, the head's six ops, and the loss
+        model, wins = batch_setup(iterations=3)
+        seen, todo = {}, [model.loss_on_batch(wins[:2])._node]
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                todo += node.parents
+        interior = [node for node in seen.values() if node.parents]
+        assert len(interior) == 23
+
 
 # predict_windows against one predict per window, at K=300 on `workers`
 # threads, in a child whose OpenBLAS runs one thread: each window's

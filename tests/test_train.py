@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -174,6 +175,13 @@ class TestScheduler:
             assert lr <= prev + 1e-18
             prev = lr
 
+    def test_a_patience_of_0_cuts_on_every_epoch_that_does_not_improve_only(self):
+        sched = tr.Scheduler(self.cfg(plateau_patience=0))
+        assert sched.epoch_end(0, True) == pytest.approx(1e-5)
+        assert sched.epoch_end(1, False) == pytest.approx(1e-6)
+        assert sched.epoch_end(2, True) == pytest.approx(1e-6)
+        assert sched.epoch_end(3, False) == pytest.approx(1e-7)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             tr.TrainConfig(lr_init=1e-8, lr_min=1e-5)
@@ -195,6 +203,18 @@ class TestFit:
                              early_stop_patience=20, seed=seed)
         model = RjcmaModel(fusion, target="valence", seed=seed)
         return tr.fit(model, train_w, val_w, cfg), val_w
+
+    def test_an_early_stop_patience_of_0_stops_at_the_first_epoch_that_does_not_improve(
+            self, monkeypatch):
+        recs, spec, fusion = small_setup()
+        wins = [w for r in recs for w in dat.window(r, spec)]
+        # validation CCCs by epoch: epoch 2 is the first that does not improve
+        scores = iter([0.1, 0.2, 0.2, 0.3])
+        report = SimpleNamespace(target_ccc=lambda target: next(scores))
+        monkeypatch.setattr(tr, "evaluate", lambda *args: report)
+        cfg = tr.TrainConfig(max_epochs=4, early_stop_patience=0, seed=0)
+        result = tr.fit(RjcmaModel(fusion, target="valence", seed=0), wins[:2], wins[2:4], cfg)
+        assert [h.val_ccc for h in result.history] == [0.1, 0.2, 0.2]
 
     def test_history_bounded_by_max_epochs(self):
         result, _ = self.fit_small()
