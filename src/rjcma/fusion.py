@@ -94,12 +94,14 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
     item, while the block's C is in cache, all items on one
     `parallel.for_each`, which picks the threads and gives each pool thread
     its own copy of this thread's buffer of C; an item gets the same numpy
-    calls on any thread. A recorded node keeps this thread's buffer only:
-    the backward starts with the item whose C is still in it and recomputes
-    the others'. It keeps no W_j[m] J either: the backward recomputes it
-    with the forward's calls. A `keep` list receives a dict per modality of
-    copies of its C ("corr") and attention map H ("map"), and its attended
-    rows ("attended"), a view of the returned stack.
+    calls on any thread. A recorded node whose modalities are each one
+    block keeps every item's C, and its backward recomputes none. Any other
+    recorded node keeps this thread's buffer only: the backward starts with
+    the item whose C is still in it and recomputes the others'. It keeps no
+    W_j[m] J either: the backward recomputes it with the forward's calls.
+    A `keep` list receives a dict per modality of copies of its C ("corr")
+    and attention map H ("map"), and its attended rows ("attended"), a view
+    of the returned stack.
     """
     k = y.cols
     if (sum(w.rows for w in w_j) != y.rows or not len(w_j) == len(w_c) == len(w_h)
@@ -115,7 +117,7 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
     splits = np.cumsum([w.rows for w in w_j])[:-1]
     xs = np.split(yd, splits, axis=1)              # views of each modality's rows
     window_c = k * k * yd.itemsize                 # bytes of one window's C
-    step = max(1, min(n, parallel.BLOCK_BYTES // window_c))
+    step = min(n, parallel.per_block(window_c))
     items = [(m, slice(i, min(i + step, n))) for m in range(len(xs)) for i in range(0, n, step)]
     item_bytes = window_c * step
 
@@ -129,19 +131,27 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
 
     a = joint_rows()
     p = [ad._mm(x, w.data) for x, w in zip(xs, w_c)]
-    # this thread allocates every buffer; the pool's threads run numpy only
-    c = np.empty((step, k, k))
+    # this thread allocates every buffer; the pool's threads run numpy only.
+    # A recorded node whose modalities are each one block writes each C into
+    # its modality's block of `kept`, for the backward; otherwise each
+    # thread writes its items' C into its one buffer, `c` or a copy of it
+    kept = np.empty((len(xs), n, k, k)) if step == n and ad._RECORDING.get() else None
+    c = () if kept is not None else (np.empty((step, k, k)),)
     corr = None if keep is None else np.empty((len(xs), n, k, k))
     h = [np.empty_like(x) for x in xs]
 
+    def slot(item, buf):
+        m, blk = item
+        return kept[m] if kept is not None else buf[0][:blk.stop - blk.start]
+
     def correlate(a, item, buf):
         m, blk = item
-        cb = buf[:blk.stop - blk.start]
+        cb = slot(item, buf)
         np.matmul(xs[m][blk].swapaxes(-1, -2), a[m][blk], out=cb)
         np.tanh(cb, out=cb)
         return cb
 
-    def attend(item, buf):
+    def attend(item, *buf):
         m, blk = item
         cb = correlate(a, item, buf)
         if corr is not None:
@@ -151,8 +161,8 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
         np.fmax(hb, 0.0, out=hb)
         hb += 0.0                                    # relu: NaN and -0.0 give +0.0
 
-    # the last item this thread ran; its C is still in `c`
-    held = parallel.for_each(attend, items, item_bytes, (c,))[-1]
+    # the last item this thread ran; its C is still in its buffer
+    held = parallel.for_each(attend, items, item_bytes, c)[-1]
     out = np.empty_like(yd)
     for x, hm, w, om in zip(xs, h, w_h, np.split(out, splits, axis=1)):
         np.add(ad._mm(hm, w.data), x, out=om)
@@ -182,10 +192,10 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
             gqm *= hm > 0.0                          # relu, subgradient 0 at 0
         a = joint_rows()
 
-        def backprop(item, buf, gc_buf):
+        def backprop(item, gc_buf, *buf):
             # only this thread runs `held`, first, with `c` as `buf`
             m, blk = item
-            cb = buf[:blk.stop - blk.start] if item is held else correlate(a, item, buf)
+            cb = slot(item, buf) if kept is not None or item is held else correlate(a, item, buf)
             gc = gc_buf[:blk.stop - blk.start]
             np.matmul(gq[m][blk], cb.swapaxes(-1, -2), out=gp[m][blk])
             np.matmul(p[m][blk].swapaxes(-1, -2), gq[m][blk], out=gc)   # d loss / d C
@@ -196,7 +206,7 @@ def attention_step(y: Tensor, joint: Tensor, w_j: list[Tensor], w_c: list[Tensor
             np.matmul(a[m][blk], gc.swapaxes(-1, -2), out=gx[m][blk])
 
         parallel.for_each(backprop, [held] + [item for item in items if item is not held],
-                          item_bytes, (c, np.empty_like(c)))
+                          item_bytes, (np.empty((step, k, k)), *c))
         # dL/dP W_c^T goes to gq's buffers, which are free now
         at_once([lro for x, gpm, w, gwm, gxm in zip(xs, gp, w_c, gw_c, gq)
                  for lro in ((x.reshape(rows).T, gpm.reshape(rows), gwm),

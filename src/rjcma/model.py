@@ -86,20 +86,33 @@ class RjcmaModel:
 
     def predict_windows(self, windows: Sequence[Window],
                         target: str | None = None) -> list[np.ndarray]:
-        """`[self.predict(w, target) for w in windows]`, one item per window
-        on `parallel.for_each`, which spreads the windows over its threads
-        where a window's K x K C is large enough to gain from them (K >= 256
-        in f64). Each thread takes the next window and runs its whole
-        forward, every attention step inline (the nesting rule), so a window
-        gets the same numpy calls on any thread and the same bits."""
-        out = [None] * len(windows)
+        """`[self.predict(w, target) for w in windows]`, forwarded in chunks
+        of as many windows as one block of C holds (`parallel.per_block`,
+        the attention step's own rule, so the chunks depend on K alone: 32
+        windows at K=64, 2 at K=256, 1 from K=257 on in f64). A chunk is one
+        `no_grad` `forward_window` call, or `self.predict` for a chunk of one
+        window. Each chunk is one item on `parallel.for_each`, which spreads
+        the chunks over its threads where a chunk is large enough to gain
+        from them; a chunk's attention steps run inline on its thread (the
+        nesting rule), so it gets the same numpy calls on any thread and
+        the same bits."""
+        if target is not None and target != self.target:
+            raise ValueError(f"model predicts {self.target}, asked for {target}")
+        window_bytes = self.config.K ** 2 * self.params["fc_joint/w"].data.itemsize
+        size = parallel.per_block(window_bytes)
+        chunks = [windows[i:i + size] for i in range(0, len(windows), size)]
+        out = [None] * len(chunks)
 
         def one(i):
-            out[i] = self.predict(windows[i], target)
+            if len(chunks[i]) == 1:
+                out[i] = [self.predict(chunks[i][0], target)]
+                return
+            with ad.no_grad():
+                preds = self.forward_window(chunks[i]).predictions.data
+            out[i] = [p.ravel().copy() for p in preds]
 
-        parallel.for_each(one, list(range(len(windows))),
-                          self.config.K ** 2 * self.params["fc_joint/w"].data.itemsize, ())
-        return out
+        parallel.for_each(one, list(range(len(chunks))), size * window_bytes, ())
+        return [p for preds in out for p in preds]
 
     def loss_on_batch(self, windows: Sequence[Window]) -> Tensor:
         """Mean over the windows of 1 - CCC on each window's valid frames."""

@@ -1,7 +1,8 @@
 """The thread policy of rjcma in one place: the thread budget (`WORKERS`)
 and `for_each`, which decides how many threads run a caller's items (the
 size rule and the nesting rule), makes each pool thread's copy of the
-caller's scratch arrays and runs the items. Callers look these names up
+caller's scratch arrays and runs the items; and `per_block`, how many
+windows one block of C (`BLOCK_BYTES`) holds. Callers look these names up
 here at call time, so that setting one reaches every later call.
 """
 
@@ -19,6 +20,12 @@ import numpy as np
 # `fusion.attention_step` works on (and, in the backward, of its gradient):
 # small enough to stay in a core's L2
 BLOCK_BYTES = 1 << 20
+
+
+def per_block(window_bytes: int) -> int:
+    """How many windows whose C takes `window_bytes` one block holds: at
+    least one. The attention step's blocks and `predict_windows`' chunks."""
+    return max(1, BLOCK_BYTES // window_bytes)
 
 
 def worker_count(cpus: int, env) -> int:

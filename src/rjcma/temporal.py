@@ -36,9 +36,10 @@ def tcn_block(x: Tensor, taps: list[Tensor], bias: Tensor, dilation: int) -> Ten
         xs[..., frames - nj:] = xd[..., :nj]
         return xs
 
+    # the sum starts at int 0, so no pre-activation is -0.0, and fmax maps
+    # a NaN one to +0.0
     out = sum(np.matmul(w, delayed(nj)) for w, nj in zip(weights, n)) + bias.data
     np.fmax(out, 0.0, out=out)
-    out += 0.0                                       # NaN and -0.0 give +0.0
     active = out > 0.0                               # subgradient at exactly 0 is 0
     out += xd
 

@@ -4,6 +4,8 @@ reduce-on-plateau scheduling, early stopping, best-state reload, and
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -165,6 +167,29 @@ class Scheduler:
 # fit
 
 
+# glibc's `mallopt` parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD
+# (malloc.h), and the bytes `_keep_freed_memory` sets both to
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_KEEP_BYTES = 10 ** 9
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Once per process, have glibc keep the blocks a training step frees
+    for the next step: it trims the heap top only once 1e9 bytes lie free
+    there, and gives no block below 1e9 bytes its own mapping, which `free`
+    would unmap. Otherwise each step frees its graph, gradients and scratch
+    back to the kernel and faults the same pages in again. A fixed mmap
+    threshold also turns off glibc's dynamic one. This changes the whole
+    process's allocator, and it does nothing without glibc."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    for param in (_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD):
+        mallopt(param, _KEEP_BYTES)
+
+
 @dataclass
 class EpochStats:
     epoch: int
@@ -193,7 +218,10 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
 
     A train window needs two valid frames for its loss; the validation CCC
     is `evaluate`'s, over every valid frame. A partition with no such
-    window raises InsufficientDataError naming it and the target."""
+    window raises InsufficientDataError naming it and the target.
+
+    The first call in a process sets glibc's allocator to keep the blocks
+    a step frees (`_keep_freed_memory`)."""
     target = model.target
     train_windows = [w for w in train_windows if w.label_mask(target).sum() >= 2]
     if not train_windows:
@@ -202,6 +230,7 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
     if not any(w.label_mask(target).any() for w in val_windows):
         raise InsufficientDataError(f"the validation partition has no valid {target} frame")
 
+    _keep_freed_memory()
     rng = np.random.default_rng(cfg.seed)
     params = model.params
     opt = OptimizerState()
@@ -223,10 +252,8 @@ def fit(model: RjcmaModel, train_windows, val_windows, cfg: TrainConfig) -> FitR
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch} batch {bi} "
                     f"(lr={sched.batch_lr(epoch, bi, n_batches):.3g})")
-            # release the last step's gradients right before this sweep:
-            # released right after their Adam step they measured more minor
-            # faults per step (glibc trims the freed heap top and the next
-            # step faults it back in); held through the sweep, a higher peak RSS
+            # release the last step's gradients right before this sweep,
+            # which reuses their blocks: held through it, they raise the peak
             grads = None
             grads = ad.backward(loss, params)
             adam_step(params, grads, opt, sched.batch_lr(epoch, bi, n_batches),

@@ -304,6 +304,35 @@ class TestAttentionBranch:
             rows = np.matmul(w, joint) / 3.0
             assert not any(a.shape == rows.shape and np.allclose(a, rows) for a in saved)
 
+    def test_recorded_K64_step_keeps_every_correlation_and_its_gradients(self, monkeypatch):
+        # K=64, 12 windows: each modality's C is one block, which the node
+        # keeps for the backward (3 blocks of 12 windows); with blocks of 5
+        # windows it keeps one block and recomputes the rest, with the same
+        # value and gradients bit for bit
+        k, n, rng = 64, 12, np.random.default_rng(17)
+        arrays = [rng.normal(size=(n, 6, k)), rng.normal(size=(n, 6, k)),
+                  [rng.normal(size=(2, 6)) for _ in range(3)],
+                  *([rng.uniform(-1.0, 1.0, size=(k, k)) / math.sqrt(k) for _ in range(3)]
+                    for _ in range(2))]
+
+        def run():
+            y, joint = Tensor.stack(arrays[0]), Tensor.stack(arrays[1])
+            w_j, w_c, w_h = ([Tensor(a) for a in group] for group in arrays[2:])
+            out = fu.attention_step(y, joint, w_j, w_c, w_h)
+            kept = sum(a.size // (k * k) for a in closure_arrays(out._backward_fn)
+                       if a.ndim > 2 and a.shape[-2:] == (k, k))
+            grads = grads_of(dot(out, Tensor.stack(np.cos(arrays[0]))),
+                             [y, joint, *w_j, *w_c, *w_h])
+            return kept, [out.data] + grads
+
+        kept, whole = run()
+        assert kept == 3 * n
+        monkeypatch.setattr(parallel, "BLOCK_BYTES", 5 * 8 * k * k)
+        kept, blocked = run()
+        assert kept == 5
+        for got, want in zip(blocked, whole, strict=True):
+            np.testing.assert_array_equal(got, want)
+
     def test_nan_attention_input_gives_a_positive_zero_map(self):
         # a NaN in W_c (as an op's result could carry) makes every entry of
         # (X W_c) C NaN; the relu maps it to +0.0, so the branch passes X on
@@ -325,9 +354,8 @@ class TestAttentionBranch:
                   rng.normal(size=(3, 9)), rng.normal(size=(5, 5)), rng.normal(size=(5, 5))]
         leaves = [Tensor.stack(a) if a.ndim == 3 else Tensor(a) for a in arrays]
         out = attend_one(*leaves)
-        saved = [weakref.ref(cell.cell_contents) for cell in out._backward_fn.__closure__
-                 if isinstance(cell.cell_contents, np.ndarray)
-                 and cell.cell_contents.shape[1:] == (5, 5)]
+        saved = [weakref.ref(a) for a in closure_arrays(out._backward_fn)
+                 if a.ndim > 2 and a.shape[-2:] == (5, 5)]
         assert saved
         loss = dot(out, Tensor.stack(np.cos(arrays[0])))
         ad.backward(loss, {})

@@ -308,6 +308,46 @@ _PREDICT_WINDOWS_BITS = textwrap.dedent("""
 """)
 
 
+# predict_windows in chunks (K=64: 32 windows each, K=256: 2) on
+# `workers` threads against one thread, in a child whose OpenBLAS runs one
+# thread; at K=64 also against one predict per window. Each chunk's forward
+# sleeps 10 ms first, so that every thread takes chunks
+_CHUNK_BITS = textwrap.dedent("""
+    import sys, threading, time
+    import numpy as np
+    from rjcma import data as dat, fusion as fu, parallel
+    from rjcma.model import RjcmaModel
+
+    workers, k, n = map(int, sys.argv[1:])
+    rng = np.random.default_rng(k)
+    model = RjcmaModel(fu.FusionConfig(2, 2, 2, K=k), "valence", seed=3)
+    for name, p in model.params.items():
+        if "/W_c" in name or "/W_h" in name:
+            p.data = rng.uniform(-1.0, 1.0, size=p.data.shape) / np.sqrt(k)
+    wins = [dat.Window(sequence_id="w", offset=i,
+                       features={m: rng.normal(size=(2, k)) for m in dat.MODALITIES},
+                       valence=np.zeros(k), arousal=np.zeros(k)) for i in range(n)]
+    parallel.WORKERS = 1
+    serial = model.predict_windows(wins)
+    if k < 256:
+        assert all(s.tobytes() == model.predict(w).tobytes() for s, w in zip(serial, wins))
+    forward_window, threads = model.forward_window, set()
+
+    def spy(windows):
+        threads.add(threading.current_thread())
+        time.sleep(0.01)
+        return forward_window(windows)
+
+    model.forward_window = spy
+    parallel.WORKERS = workers
+    got = model.predict_windows(wins)
+    assert len(got) == n
+    assert all(g.tobytes() == s.tobytes() for g, s in zip(got, serial))
+    assert len(threads) == workers, threads
+    print("ok")
+""")
+
+
 def _child(code: str, *args: str) -> subprocess.CompletedProcess:
     """`code` run by a fresh interpreter on this package, OpenBLAS held to
     one thread; a child that runs for 60 s is killed and fails the test."""
@@ -324,21 +364,60 @@ class TestPredictWindows:
         assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
     def test_small_K_runs_every_window_on_the_calling_thread(self, monkeypatch):
-        # a K=64 window's C is below half a block: threads would cost more
+        # 4 K=64 windows are one chunk (a block holds 32), forwarded as
+        # one batch on this thread
         monkeypatch.setattr(parallel, "WORKERS", 2)
         model, _ = batch_setup(k=64)
-        wins, threads = [make_window(k=64, seed=i) for i in range(4)], set()
+        wins, calls = [make_window(k=64, seed=i) for i in range(4)], []
+        forward_window = model.forward_window
+
+        def spy(windows):
+            calls.append((threading.current_thread(), len(windows)))
+            return forward_window(windows)
+
+        monkeypatch.setattr(model, "forward_window", spy)
+        got = model.predict_windows(wins)
+        assert calls == [(threading.current_thread(), 4)]
+        for g, w in zip(got, wins, strict=True):
+            np.testing.assert_array_equal(g, model.predict(w))
+
+    def test_K300_calls_predict_once_per_window_in_order(self, monkeypatch):
+        # a K=300 window's C takes over half a block, so each chunk is one
+        # window, which goes through the per-window `predict`
+        monkeypatch.setattr(parallel, "WORKERS", 1)
+        model = RjcmaModel(FusionConfig(1, 1, 1, K=300, iterations=1), "valence", seed=0)
+        wins, calls = [make_window(d=1, k=300, seed=i) for i in range(3)], []
         predict = model.predict
 
         def spy(win, target=None):
-            threads.add(threading.current_thread())
+            calls.append(win)
             return predict(win, target)
 
         monkeypatch.setattr(model, "predict", spy)
         got = model.predict_windows(wins)
-        assert threads == {threading.current_thread()}
+        assert calls == wins
         for g, w in zip(got, wins, strict=True):
             np.testing.assert_array_equal(g, predict(w))
+
+    @pytest.mark.parametrize("k", [99, 131])
+    def test_chunks_stay_within_1e12_of_per_window_predictions(self, k):
+        # at some K a batch's stacked GEMMs round differently from one
+        # window's (by up to 5.4e-14 at K = 99, 131, 193, 209 and 255, in
+        # predictions within [-1, 1]); at K=64 and from K=257 on they agree
+        rng = np.random.default_rng(k)
+        model = RjcmaModel(FusionConfig(16, 16, 16, K=k), "valence", seed=1)
+        for name, p in model.params.items():
+            if "/W_c" in name or "/W_h" in name:
+                p.data = rng.uniform(-1.0, 1.0, size=p.data.shape) / np.sqrt(k)
+        wins = [make_window(d=16, k=k, seed=i) for i in range(13)]
+        for got, w in zip(model.predict_windows(wins), wins, strict=True):
+            np.testing.assert_allclose(got, model.predict(w), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k, windows", [(64, 70), (256, 6)])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunks_give_the_same_bits_for_any_worker_count(self, workers, k, windows):
+        proc = _child(_CHUNK_BITS, str(workers), str(k), str(windows))
+        assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
     @pytest.mark.parametrize("failing", [0, 3])
     def test_a_failing_window_raises_after_every_thread_finished(self, monkeypatch,
@@ -346,7 +425,7 @@ class TestPredictWindows:
         # window 0 is this thread's first; window 3 goes to whichever thread
         # is free
         monkeypatch.setattr(parallel, "WORKERS", 2)
-        model = RjcmaModel(FusionConfig(1, 1, 1, K=256, iterations=1), "valence", seed=0)
+        model = RjcmaModel(FusionConfig(1, 1, 1, K=300, iterations=1), "valence", seed=0)
         finished = []
 
         def predict(i, target=None):
@@ -354,7 +433,7 @@ class TestPredictWindows:
                 raise ValueError(f"window {i}")
             time.sleep(0.05)
             finished.append(i)
-            return np.zeros(256)
+            return np.zeros(300)
 
         monkeypatch.setattr(model, "predict", predict)
         with pytest.raises(ValueError, match=f"window {failing}"):
@@ -366,7 +445,7 @@ class TestPredictWindows:
         # next window, or a prediction stored at another window's index,
         # shows in the calls or the order
         monkeypatch.setattr(parallel, "WORKERS", 6)
-        model = RjcmaModel(FusionConfig(1, 1, 1, K=256, iterations=1), "valence", seed=0)
+        model = RjcmaModel(FusionConfig(1, 1, 1, K=300, iterations=1), "valence", seed=0)
         calls, result = [], []
 
         def predict(i, target=None):

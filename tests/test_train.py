@@ -1,6 +1,12 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -314,6 +320,41 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert peak < 48e6, f"step peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's allocator")
+    def test_a_steady_K64_step_faults_in_no_new_pages(self):
+        # a fresh process fits 16 K=64 steps of 12 windows (16+16+16
+        # features, l=3, one worker): from step 4 on, the blocks each step
+        # frees serve the next, so a step takes almost no minor faults;
+        # with glibc's default thresholds each took 1100-1600 (getrusage)
+        code = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from rjcma import data as dat, fusion as fu, parallel, train as tr
+            from rjcma.model import RjcmaModel
+
+            parallel.WORKERS = 1
+            k, rng = 64, np.random.default_rng(0)
+            wins = [dat.Window("s", i, {m: rng.normal(size=(16, k)) for m in "avt"},
+                               *rng.uniform(-1.0, 1.0, size=(2, k))) for i in range(194)]
+            model = RjcmaModel(fu.FusionConfig(16, 16, 16, K=k), "valence", seed=0)
+            faults, adam_step = [], tr.adam_step
+
+            def counted(*args, **kwargs):
+                adam_step(*args, **kwargs)
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+            tr.adam_step = counted
+            tr.fit(model, wins[:192], wins[192:], tr.TrainConfig(batch_size=12, max_epochs=1))
+            print(len(faults), float(np.mean(np.diff(faults)[2:])))
+        """)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(tr.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        steps, per_step = proc.stdout.split()
+        assert int(steps) == 16 and float(per_step) < 50, proc.stdout
 
     def test_empty_partition_rejected(self):
         recs, spec, fusion = small_setup()
